@@ -97,11 +97,6 @@ def _pop_exhausted_top(buffer: BufferArea) -> None:
     buffer.pop_suffix(j + 1 - head)
 
 
-def touched_records(entries: list[ProcessingEntry]) -> int:
-    """Number of buffer records a batch pulled from (for cycle charging)."""
-    return len(entries)
-
-
 def total_expansions(entries: list[ProcessingEntry]) -> int:
     """Total one-hop expansions scheduled in a batch."""
     return sum(e.num_expansions for e in entries)

@@ -1,8 +1,13 @@
-"""PEFP main loop (Algorithm 1) on the simulated device.
+"""The PEFP kernel (Algorithm 1) on the simulated device.
 
 The engine is *functionally* a BFS-style expand-and-verify enumerator and
-*temporally* a cycle-accounting model.  The three path areas and their
-interaction implement Algorithms 1 and 3:
+*temporally* a cycle-accounting model.  :meth:`PEFPEngine._pe_steps` is
+one processing element's kernel, a generator of steps (drain the input
+FIFO, then one Θ1 refill or one batch); :meth:`PEFPEngine.run` hands
+every query to the BSP driver in :mod:`repro.core.multi_pe`, which runs
+``DeviceConfig.num_pes`` such kernels in lockstep — one PE is the
+degenerate case.  The three path areas and their interaction implement
+Algorithms 1 and 3:
 
 - **processing area** ``P'`` (BRAM): the batch of expansions in flight;
 - **buffer area** ``P`` (BRAM): a stack of intermediate paths, flushed
@@ -43,9 +48,9 @@ per-expansion Python loops, without changing a single charged cycle:
   bounds and cache residency constants, so stage costs and port traffic
   are computed arithmetically and folded into the device models in bulk.
 
-``docs/TIMING_MODEL.md`` derives why the charges are unchanged; the
-differential suite asserts byte-identical results, stats, cycles, traffic
-and profiles against the reference loop.
+``docs/TIMING_MODEL.md`` derives why the charges are unchanged (§5) and
+how the PEs compose (§6); the differential suites assert byte-identical
+results, stats, cycles, traffic and profiles against the reference loop.
 """
 
 from __future__ import annotations
@@ -57,20 +62,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.batching import fifo_batch
-from repro.core.cache import CachedArray
 from repro.core.config import PEFPConfig, QueryBudget
-from repro.core.paths import BufferArea, DramArea, PathRecord, record_words
+from repro.core.paths import BufferArea, DramArea, record_words
 from repro.core.verify import VerificationModule
-from repro.errors import QueryError
 from repro.fpga.clock import Clock
 from repro.fpga.device import Device, DeviceConfig
 from repro.fpga.pipeline import PipelineModel
-from repro.fpga.profile import DeviceProfile, DeviceProfiler
+from repro.fpga.profile import BATCH_STAGES, DeviceProfile
 from repro.graph.csr import CSRGraph
-
-#: the five overlapped dataflow stages, in pipeline order.
-_STAGE_NAMES = ("load", "edge_fetch", "barrier_fetch", "verify",
-                "writeback", "overhead")
 
 
 @dataclass
@@ -211,95 +210,58 @@ class PEFPEngine:
         ``collect_paths=False`` the result list is not materialised —
         for result sets too large to hold, pair it with ``on_result``.
 
-        ``budget`` bounds the run (see :class:`QueryBudget`): the main
-        loop checks the cycle cap before each batch and the result cap
-        after each batch, terminates cleanly at the boundary and sets
-        ``truncated`` on the result when the answer may be incomplete.
-        The paths of a budgeted run are always an exact subset of the
-        unbudgeted answer, and the clock never overshoots ``max_cycles``
-        by more than one batch (including its flush/refill stalls).
+        Runs the BSP driver :func:`repro.core.multi_pe.run_multi_pe` for
+        every ``device_config.num_pes``.  ``budget`` bounds the run (see
+        :class:`QueryBudget`): the driver checks the cycle cap before
+        each superstep and the result cap after each one, terminates
+        cleanly at the boundary and sets ``truncated`` on the result when
+        the answer may be incomplete.  The paths of a budgeted run are
+        always an exact subset of the unbudgeted answer, and the clock
+        never overshoots ``max_cycles`` by more than one superstep
+        (including its flush/refill stalls).
 
         ``tracer`` (a :class:`repro.observability.Tracer`) emits one span
         per processing batch and refill stall on the caller's current
         span; ``profile=True`` collects a
         :class:`~repro.fpga.profile.DeviceProfile` (per-batch cycle
         breakdown, cache hit/miss, high-water marks) onto the result.
-        Both default off and cost nothing when disabled — the hot loop
-        pays one falsy check per batch.
+        Both default off and cost nothing when disabled — the kernel
+        pays one falsy check per step.
         """
-        if self.device_config.num_pes > 1:
-            from repro.core.multi_pe import run_multi_pe
+        from repro.core.multi_pe import run_multi_pe
 
-            return run_multi_pe(
-                self, graph, source, target, max_hops, barrier,
-                on_result=on_result, collect_paths=collect_paths,
-                budget=budget, tracer=tracer, profile=profile,
-            )
-        if not 0 <= source < graph.num_vertices:
-            raise QueryError(f"source {source} not in graph")
-        if not 0 <= target < graph.num_vertices:
-            raise QueryError(f"target {target} not in graph")
-        if source == target:
-            raise QueryError("source equals target")
-        if max_hops < 1:
-            raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
-        if len(barrier) != graph.num_vertices:
-            raise QueryError("barrier array size does not match graph")
-        # A simple path has at most |V| - 1 edges, so the path-record width
-        # (and every hop comparison) can be clamped without changing the
-        # answer; this keeps huge user-supplied k from inflating BRAM needs.
-        max_hops = min(max_hops, graph.num_vertices - 1)
+        return run_multi_pe(
+            self, graph, source, target, max_hops, barrier,
+            on_result=on_result, collect_paths=collect_paths,
+            budget=budget, tracer=tracer, profile=profile,
+        )
 
+    def _pe_steps(self, index, pe, graph, target, max_hops, barrier, owners,
+                  inbox, outbox, results, on_result, observing, timed):
+        """One processing element's kernel, as a generator of BSP steps.
+
+        ``pe`` is the ``(device, stats, buffer, dram_area, cached_arrays)``
+        that :func:`repro.core.multi_pe.run_multi_pe` allocated; after a
+        priming ``send(None)`` the driver sends, per step, how many more
+        results the budget admits (``None``: unbounded).  A step drains
+        ``inbox``, runs one Θ1 refill or one batch on the PE's clock and
+        yields ``None`` when idle, else ``(kind, cycles, results,
+        dropped, more, wall0, info)``; ``info`` (only when
+        ``observing``) is a batch's ``DeviceProfiler.record_batch``
+        keywords or a refill's path count.  Survivors whose tail another
+        PE owns go to ``outbox[owner]`` as ``(vertices, lo, hi)``; with
+        ``owners=None`` (one PE) the push path does no owner lookup.
+        Closing the generator folds the deferred counters into the PE's
+        device and stats.
+        """
+        device, stats, buffer, dram_area, arrays = pe
+        vertex_arr, edge_arr, bar_arr = arrays
         cfg = self.config
-        device = Device(self.device_config)
         bram, dram, clock = device.bram, device.dram, device.clock
-        stats = EngineStats()
         rec_w = record_words(max_hops)
-
-        # --- static allocations ---------------------------------------
-        bram.allocate(cfg.theta2 * (rec_w + 2), "processing_area")
         buffer_in_bram = cfg.use_cache
-        if buffer_in_bram:
-            bram.allocate(cfg.buffer_capacity_paths * rec_w, "buffer_area")
-            buffer = BufferArea(cfg.buffer_capacity_paths)
-        else:
-            # Buffer stack lives in DRAM: unbounded, every touch off-chip.
-            buffer = BufferArea(2**62)
-            stats.buffer_domain = "dram"
-
-        vertex_budget = min(len(graph.indptr), cfg.graph_cache_words)
-        edge_budget = max(0, cfg.graph_cache_words - vertex_budget)
-        vertex_arr = CachedArray(graph.indptr, bram, dram, vertex_budget,
-                                 "vertex_arr", enabled=cfg.use_cache)
-        edge_arr = CachedArray(graph.indices, bram, dram, edge_budget,
-                               "edge_arr", enabled=cfg.use_cache)
-        bar_arr = CachedArray(barrier, bram, dram, cfg.barrier_cache_words,
-                              "bar_arr", enabled=cfg.use_cache)
-
         verifier = VerificationModule(self.pipeline, cfg.use_data_separation)
         use_dfs = cfg.use_batch_dfs
-        dram_area = DramArea()
-        profiler = DeviceProfiler() if profile else None
-        observing = profiler is not None or bool(tracer)
-        frequency = self.device_config.frequency_hz
-        results: list[tuple[int, ...]] = []
-        max_results = budget.max_results if budget is not None else None
-        max_cycles = budget.max_cycles if budget is not None else None
-        truncated = False
-
-        # --- seed: the path consisting of just `source` ----------------
-        setup_wall = time.perf_counter_ns() if tracer else 0
-        lo = vertex_arr.read(source)
-        hi = vertex_arr.read(source + 1)
-        if lo < hi:
-            self._charge_push(bram, dram, rec_w, buffer_in_bram)
-            buffer.push(PathRecord((source,), lo, hi))
-        if profiler is not None:
-            profiler.mark_setup(clock.cycles)
-        if tracer:
-            tracer.complete("kernel_setup", setup_wall,
-                            modelled_seconds=clock.cycles / frequency,
-                            cycles=clock.cycles)
 
         # --- hot-path tables and constants ------------------------------
         # Every charged cycle below is the closed form of the memory-model
@@ -319,8 +281,9 @@ class PEFPEngine:
         #: BRAM wide-access cycles per word count (indices 0..Θ2).
         ceil_tab = [-(-n // pw) for n in range(theta2 + 1)]
         ceil_tab[0] = 0
-        #: verification-pipeline latency per batch size (indices 0..Θ2).
-        verify_tab = [verifier.batch_cycles(n) for n in range(theta2 + 1)]
+        #: verification-pipeline latency per batch size (indices 0..Θ2),
+        #: filled on first use: a short run touches only a few sizes.
+        verify_tab = [-1] * (theta2 + 1)
         num_vertices = graph.num_vertices
         indices_np = graph.indices
         iptr_l = graph.indptr.tolist()
@@ -345,45 +308,63 @@ class PEFPEngine:
         bhit_tab: dict[int, list[int]] = {}
         b_partial = 0 < c_b < num_vertices
 
-        # Local accumulators, folded into the device/stats objects once at
-        # the end of the run (all folded quantities are plain sums, so
-        # deferring them is exact; the cold paths — seed, refill, flush —
-        # keep charging the real models directly).
+        # Local accumulators, folded into the device/stats objects once
+        # the kernel finishes (all folded quantities are plain sums, so
+        # deferring them is exact; the cold paths — drain, refill, flush
+        # — keep charging the real models directly).
         br_ops = br_words = bw_ops = bw_words = 0          # BRAM port
         dr_ops = dr_words = dw_ops = dw_words = d_stall = 0  # DRAM port
         v_hits = v_miss = e_hits = e_miss = b_hits = b_miss = 0
         n_batches = n_expansions = n_results = n_intermediate = 0
         rej_t = rej_b = rej_v = 0
-        # Per-parent-length tallies as lists (h <= max_hops always): keys
-        # are first touched in ascending h order under both schedulers —
-        # a length-(h+1) parent only exists after an expansion at length h
-        # — so rebuilding the dicts in ascending order at the end
-        # reproduces the reference dicts' insertion order exactly.
+        # Per-parent-length tallies as lists (h <= max_hops always),
+        # rebuilt as dicts in ascending order at the end; on a single PE
+        # that is the reference dicts' insertion order — a length-(h+1)
+        # parent only exists after an expansion at length h.
         exp_list = [0] * (key_span + 1)
         new_list = [0] * (key_span + 1)
         acc_t1 = acc_t2 = acc_t3 = acc_t4 = acc_t5 = acc_ov = 0
         ins_t1 = ins_t2 = ins_t3 = ins_t4 = ins_t5 = ins_ov = False
         v_partial = not v_all_hit and c_v > 0
         clock_advance = clock.advance
-        results_append = results.extend
         prune_tab_get = prune_tab.get
+        wall0 = flush_cycles0 = flushes0 = 0
 
-        # --- main loop (Algorithms 1 and 3) ----------------------------
+        event = None
         while True:
-            # Budget check at the batch boundary: truncated only when the
-            # stop leaves unexplored work behind.
-            if max_cycles is not None and clock.cycles >= max_cycles:
-                truncated = not buffer.is_empty or not dram_area.is_empty
+            try:
+                room = yield event
+            except GeneratorExit:
                 break
+            # the slot, not the ``cycles`` property: read twice per step
+            clock0 = clock._cycles
+            if observing:
+                if timed:
+                    wall0 = time.perf_counter_ns()
+                flush_cycles0 = stats.stage_cycles.get("flush", 0)
+                flushes0 = stats.flushes
+
+            # Drain the input FIFO (its transfer was charged at the last
+            # superstep boundary); an overflow flush stalls this PE.
+            if inbox:
+                for verts, lo, hi in inbox:
+                    if buffer_in_bram and buffer.is_full:
+                        before = clock.cycles
+                        self._flush(buffer, rec_w, bram, dram, dram_area,
+                                    stats)
+                        stats.add_stage_cycles("flush",
+                                               clock.cycles - before)
+                    buffer.push_path(verts, lo, hi)
+                inbox.clear()
+
             bverts = buffer._verts
             bnext = buffer._next
             blast = buffer._last
             bhead = buffer._head
             if len(bverts) == bhead:  # buffer empty
+                event = None
                 if buffer_in_bram and not dram_area.is_empty:
                     # Θ1 refill from the DRAM tail: a serial stall.
-                    before = clock.cycles
-                    refill_wall = time.perf_counter_ns() if tracer else 0
                     block = dram_area.fetch_tail(theta1)
                     dram.burst_read(len(block) * rec_w)
                     bram.write(len(block) * rec_w)
@@ -391,25 +372,11 @@ class PEFPEngine:
                         buffer.push(rec)
                     stats.refills += 1
                     stats.refilled_paths += len(block)
-                    refill_cycles = clock.cycles - before
+                    refill_cycles = clock.cycles - clock0
                     stats.add_stage_cycles("refill", refill_cycles)
-                    if profiler is not None:
-                        profiler.record_refill(refill_cycles, len(block))
-                    if tracer:
-                        tracer.complete(
-                            "refill", refill_wall,
-                            modelled_seconds=refill_cycles / frequency,
-                            cycles=refill_cycles,
-                            paths=len(block),
-                        )
-                    continue  # re-check the cycle budget after the stall
-                else:
-                    break
-            if observing:
-                iter_cycles0 = clock.cycles
-                iter_wall0 = time.perf_counter_ns() if tracer else 0
-                flush_cycles0 = stats.stage_cycles.get("flush", 0)
-                flushes0 = stats.flushes
+                    event = ("refill", refill_cycles, 0, False, True, wall0,
+                             len(block))
+                continue
 
             # --- batch selection (Batch-DFS fused; FIFO via scheduler) --
             if use_dfs:
@@ -440,7 +407,9 @@ class PEFPEngine:
             else:
                 sel = fifo_batch(buffer, theta2)
             if not sel:
-                break  # defensive: cannot happen with a non-empty buffer
+                # defensive: cannot happen with a non-empty buffer
+                event = None
+                continue
             n_batches += 1
             n_e = len(sel)
 
@@ -584,9 +553,13 @@ class PEFPEngine:
                     nhi = iptr_l[u + 1]
                     if nlo < nhi:
                         n_push += 1
-                        push_v.append(pv + (u,))
-                        push_lo.append(nlo)
-                        push_hi.append(nhi)
+                        if owners is not None and owners[u] != index:
+                            # foreign tail: the output FIFO to its owner
+                            outbox[owners[u]].append((pv + (u,), nlo, nhi))
+                        else:
+                            push_v.append(pv + (u,))
+                            push_lo.append(nlo)
+                            push_hi.append(nhi)
             n_expansions += n_items
             rej_t += batch_nt
             rej_b += n_items - batch_nt - batch_pass
@@ -601,17 +574,17 @@ class PEFPEngine:
                 br_ops += n_e
                 br_words += n_items
             t4 = verify_tab[n_items]
+            if t4 < 0:
+                t4 = verify_tab[n_items] = verifier.batch_cycles(n_items)
 
             # Result budget: keep only what fits; dropped results mean the
             # answer is definitively incomplete.  The kept prefix is still
             # a subset of the unbudgeted answer (same deterministic order).
-            dropped_results = False
-            if max_results is not None:
-                room = max_results - n_results
-                if len(batch_results) > room:
-                    batch_results = batch_results[:room]
-                    dropped_results = True
-                    wres = sum(len(p) + 1 for p in batch_results)
+            dropped = False
+            if room is not None and len(batch_results) > room:
+                batch_results = batch_results[:room]
+                dropped = True
+                wres = sum(len(p) + 1 for p in batch_results)
 
             # --- stage 1: load; stage 5: write-back ---------------------
             moved = n_e * rec_w
@@ -636,8 +609,8 @@ class PEFPEngine:
 
             s5b = s5d = 0
             if batch_results:
-                if collect_paths:
-                    results_append(batch_results)
+                if results is not None:
+                    results.extend(batch_results)
                 if on_result is not None:
                     for p in batch_results:
                         on_result(p)
@@ -734,19 +707,20 @@ class PEFPEngine:
                 stats.stage_cycles["overhead"] = overhead
                 ins_ov = True
 
-            # Apply the buffered pushes; overflow stalls the pipeline.
+            # Apply the buffered local pushes; overflow stalls the pipeline.
             if push_v:
+                n_local = len(push_v)
                 bverts = buffer._verts
                 bnext = buffer._next
                 blast = buffer._last
                 n_buf = len(bverts) - buffer._head
                 cap = buffer.capacity_paths
-                if n_buf + n_push <= cap:
+                if n_buf + n_local <= cap:
                     # no flush possible: append wholesale
                     bverts.extend(push_v)
                     bnext.extend(push_lo)
                     blast.extend(push_hi)
-                    n_buf += n_push
+                    n_buf += n_local
                     if n_buf > buffer.peak_occupancy:
                         buffer.peak_occupancy = n_buf
                     push_v = ()
@@ -770,59 +744,30 @@ class PEFPEngine:
                 if n_buf > buffer.peak_occupancy:
                     buffer.peak_occupancy = n_buf
 
+            delta = clock._cycles - clock0
+            info = None
             if observing:
-                iter_cycles = clock.cycles - iter_cycles0
-                stage_breakdown = dict(zip(
-                    ("load", "edge_fetch", "barrier_fetch", "verify",
-                     "writeback"),
-                    (t1, t2, t3, t4, t5),
-                ))
-                if profiler is not None:
-                    profiler.record_batch(
-                        entries=n_e,
-                        expansions=n_items,
-                        results=len(batch_results),
-                        new_paths=nv,
-                        cycles=iter_cycles,
-                        pipeline_cycles=batch_cycles - overhead,
-                        overhead_cycles=overhead,
-                        flush_cycles=(stats.stage_cycles.get("flush", 0)
-                                      - flush_cycles0),
-                        flushes=stats.flushes - flushes0,
-                        dram_cycles=dram_cycles,
-                        buffer_paths=len(buffer),
-                        stage_cycles=stage_breakdown,
-                    )
-                if tracer:
-                    # The exact cycle split the attribution layer reads
-                    # (see repro.observability.analysis): the pipeline
-                    # window is bounded by its slowest stage (busy) or
-                    # the DRAM channels (stall); busy + stall + overhead
-                    # tiles the iteration's clock delta exactly.
-                    slowest = max(t1, t2, t3, t4, t5)
-                    tracer.complete(
-                        "batch", iter_wall0,
-                        modelled_seconds=iter_cycles / frequency,
-                        entries=n_e,
-                        expansions=n_items,
-                        results=len(batch_results),
-                        cycles=iter_cycles,
-                        busy_cycles=slowest,
-                        stall_cycles=(batch_cycles - overhead - slowest
-                                      + stats.stage_cycles.get("flush", 0)
-                                      - flush_cycles0),
-                        overhead_cycles=overhead,
-                        bound=("verify" if t4 == slowest and slowest > 0
-                               else "expand"),
-                    )
-
-            if max_results is not None and n_results >= max_results:
-                truncated = (
-                    dropped_results
-                    or not buffer.is_empty
-                    or not dram_area.is_empty
-                )
-                break
+                info = {
+                    "entries": n_e,
+                    "expansions": n_items,
+                    "results": len(batch_results),
+                    "new_paths": nv,
+                    "cycles": delta,
+                    "pipeline_cycles": batch_cycles - overhead,
+                    "overhead_cycles": overhead,
+                    "flush_cycles": (stats.stage_cycles.get("flush", 0)
+                                     - flush_cycles0),
+                    "flushes": stats.flushes - flushes0,
+                    "dram_cycles": dram_cycles,
+                    "buffer_paths": len(buffer),
+                    "stage_cycles": dict(zip(BATCH_STAGES,
+                                             (t1, t2, t3, t4, t5))),
+                }
+            event = (
+                "batch", delta, len(batch_results), dropped,
+                len(buffer._verts) > buffer._head or not dram_area.is_empty,
+                wall0, info,
+            )
 
         # --- fold the deferred accumulators into the models -------------
         port = bram.port
@@ -836,12 +781,11 @@ class PEFPEngine:
         port.writes += dw_ops
         port.write_words += dw_words
         port.stall_cycles += d_stall
-        vertex_arr.hits += v_hits
-        vertex_arr.misses += v_miss
-        edge_arr.hits += e_hits
-        edge_arr.misses += e_miss
-        bar_arr.hits += b_hits
-        bar_arr.misses += b_miss
+        for arr, hits, misses in ((vertex_arr, v_hits, v_miss),
+                                  (edge_arr, e_hits, e_miss),
+                                  (bar_arr, b_hits, b_miss)):
+            arr.hits += hits
+            arr.misses += misses
         stats.batches += n_batches
         stats.expansions += n_expansions
         stats.results += n_results
@@ -855,39 +799,11 @@ class PEFPEngine:
         stats.new_paths_by_parent_length = {
             h: c for h, c in enumerate(new_list) if c
         }
-        for name, acc in (("load", acc_t1), ("edge_fetch", acc_t2),
-                          ("barrier_fetch", acc_t3), ("verify", acc_t4),
-                          ("writeback", acc_t5), ("overhead", acc_ov)):
+        for name, acc in zip(BATCH_STAGES + ("overhead",),
+                             (acc_t1, acc_t2, acc_t3, acc_t4, acc_t5,
+                              acc_ov)):
             if acc:
                 stats.stage_cycles[name] += acc
-
-        stats.peak_buffer_paths = buffer.peak_occupancy
-        stats.peak_dram_paths = dram_area.peak_occupancy
-        return EngineRunResult(
-            paths=results,
-            cycles=device.cycles,
-            seconds=device.elapsed_seconds(),
-            stats=stats,
-            device=device,
-            truncated=truncated,
-            profile=(
-                profiler.finish(
-                    device,
-                    (vertex_arr, edge_arr, bar_arr),
-                    buffer.peak_occupancy,
-                    dram_area.peak_occupancy,
-                    verify_funnel={
-                        "expansions": stats.expansions,
-                        "rejected_target": stats.rejected_target,
-                        "rejected_barrier": stats.rejected_barrier,
-                        "rejected_visited": stats.rejected_visited,
-                        "survivors": stats.intermediate_paths,
-                    },
-                    buffer_domain=stats.buffer_domain,
-                )
-                if profiler is not None else None
-            ),
-        )
 
     # ------------------------------------------------------------------
     # internals

@@ -1,23 +1,22 @@
-"""Multi-PE execution of the PEFP main loop: N pipelines in lockstep.
+"""The PEFP driver: N processing elements in BSP lockstep, N >= 1.
 
-:class:`~repro.core.engine.PEFPEngine.run` dispatches here when
-``DeviceConfig.num_pes > 1`` (and the differential suite calls
-:func:`run_multi_pe` directly with ``num_pes == 1`` to pin the base
-case).  Each processing element owns a partition of the vertex set
-(:mod:`repro.fpga.partition`) and runs the *reference* per-entry loop
-(:mod:`repro.core.engine_reference`) over the frontier records whose
-tail vertex it owns, on its own :class:`~repro.fpga.device.Device`
-(private BRAM banks, DRAM channel, clock).  A path record produced with
-a tail owned by another PE crosses the interconnect
-(:mod:`repro.fpga.interconnect`) instead of entering the local buffer.
+:meth:`~repro.core.engine.PEFPEngine.run` always runs here; a single
+PE is the degenerate case.  Each processing element owns a partition of
+the vertex set (:mod:`repro.fpga.partition`) and runs the vectorised
+kernel step (:meth:`~repro.core.engine.PEFPEngine._pe_steps`) over the
+frontier records whose tail vertex it owns, on its own
+:class:`~repro.fpga.device.Device` (private BRAM banks, DRAM channel,
+clock).  A path record produced with a tail owned by another PE crosses
+the interconnect (:mod:`repro.fpga.interconnect`) instead of entering
+the local buffer.
 
 Superstep model (BSP lockstep)
 ------------------------------
 Each iteration of the global loop is one *superstep*:
 
-1. every PE with work takes exactly one reference-loop step — drain its
-   input FIFO into the buffer area, then run one refill or one
-   processing batch on its local clock;
+1. every PE takes exactly one kernel step — drain its input FIFO into
+   the buffer area, then run one refill or one processing batch on its
+   local clock;
 2. remote records route through per-destination FIFOs behind a
    round-robin arbiter; destinations drain in parallel, so the routing
    charge is the max over destination FIFOs;
@@ -28,19 +27,12 @@ The global clock advances by ``max(PE step deltas) + routing + barrier``
 :class:`~repro.fpga.profile.DeviceProfiler` records the *critical*
 (slowest, ties to the lowest index) PE's batch or refill event plus one
 ``inter_pe`` event per superstep boundary, so
-``DeviceProfile.accounted_cycles == total_cycles`` holds exactly, with
-the same integer-tiling guarantees as the single-PE engines.
+``DeviceProfile.accounted_cycles == total_cycles`` holds exactly.
 
-Why N=1 is byte-identical to the single-PE engines
---------------------------------------------------
-With one PE every vertex is local: the partition lookup always answers
-"self", no record ever reaches the interconnect, routing and barrier
-charges are zero, and each superstep is exactly one iteration of the
-reference loop on the single PE's device.  The driver therefore *is*
-the reference engine at N=1 — same paths in the same order, same
-cycles, stats, port traffic and profile — and the reference engine is
-byte-identical to the vectorised engine by the PR 6 differential suite.
-``docs/TIMING_MODEL.md`` spells the argument out.
+With one PE there is no partition lookup, routing and barrier charges
+are zero, and each superstep is one refill or batch of the kernel, whose
+charges equal the reference loop's (:mod:`repro.core.engine_reference`)
+byte for byte — ``docs/TIMING_MODEL.md`` §5 and §6 give the argument.
 """
 
 from __future__ import annotations
@@ -49,18 +41,22 @@ import time
 
 import numpy as np
 
-from repro.core.batching import batch_dfs, fifo_batch
 from repro.core.cache import CachedArray
 from repro.core.config import QueryBudget
-from repro.core.engine import EngineRunResult, EngineStats, _StageCost
+from repro.core.engine import EngineRunResult, EngineStats
 from repro.core.paths import BufferArea, DramArea, PathRecord, record_words
-from repro.core.verify import VerificationModule
 from repro.errors import QueryError
 from repro.fpga.device import Device, MultiPEDevice
 from repro.fpga.interconnect import RoundRobinArbiter, barrier_sync_cycles
 from repro.fpga.partition import VertexPartitioner
 from repro.fpga.profile import DeviceProfiler
 from repro.graph.csr import CSRGraph
+
+
+#: the per-PE :class:`EngineStats` counters a merge adds up.
+_SUMMED_STATS = ("batches", "expansions", "results", "intermediate_paths",
+                 "rejected_target", "rejected_barrier", "rejected_visited",
+                 "flushes", "flushed_paths", "refills", "refilled_paths")
 
 
 class _MergedCounters:
@@ -78,293 +74,38 @@ class _MergedCounters:
         return out
 
 
-class _PEState:
-    """One processing element: device, path areas, caches, counters."""
+def _allocate_pe(engine, graph: CSRGraph, barrier: np.ndarray,
+                 rec_w: int) -> tuple:
+    """One PE's ``(device, stats, buffer, dram_area, cached_arrays)``.
 
-    def __init__(self, engine, index: int, graph: CSRGraph,
-                 barrier: np.ndarray, rec_w: int) -> None:
-        cfg = engine.config
-        self.engine = engine
-        self.index = index
-        self.device = Device(engine.device_config)
-        self.bram = self.device.bram
-        self.dram = self.device.dram
-        self.clock = self.device.clock
-        self.stats = EngineStats()
-        self.rec_w = rec_w
-
-        # Same static allocations as the single-PE engines, per PE: the
-        # configured BRAM/DRAM capacities are per-pipeline resources.
-        self.bram.allocate(cfg.theta2 * (rec_w + 2), "processing_area")
-        self.buffer_in_bram = cfg.use_cache
-        if self.buffer_in_bram:
-            self.bram.allocate(cfg.buffer_capacity_paths * rec_w,
-                               "buffer_area")
-            self.buffer = BufferArea(cfg.buffer_capacity_paths)
-        else:
-            self.buffer = BufferArea(2**62)
-            self.stats.buffer_domain = "dram"
-
-        # Every PE keeps the full CSR in its DRAM channel with the same
-        # BRAM prefix budgets (the graph is replicated per channel, as
-        # in multi-channel BFS accelerators); ownership only controls
-        # which PE *expands* a record.
-        vertex_budget = min(len(graph.indptr), cfg.graph_cache_words)
-        edge_budget = max(0, cfg.graph_cache_words - vertex_budget)
-        self.vertex_arr = CachedArray(graph.indptr, self.bram, self.dram,
-                                      vertex_budget, "vertex_arr",
-                                      enabled=cfg.use_cache)
-        self.edge_arr = CachedArray(graph.indices, self.bram, self.dram,
-                                    edge_budget, "edge_arr",
-                                    enabled=cfg.use_cache)
-        self.bar_arr = CachedArray(barrier, self.bram, self.dram,
-                                   cfg.barrier_cache_words, "bar_arr",
-                                   enabled=cfg.use_cache)
-
-        self.verifier = VerificationModule(engine.pipeline,
-                                           cfg.use_data_separation)
-        self.dram_area = DramArea()
-        self.inbox: list[PathRecord] = []
-        self.outbox: dict[int, list[PathRecord]] = {}
-
-    def has_work(self) -> bool:
-        return (not self.buffer.is_empty or not self.dram_area.is_empty
-                or bool(self.inbox))
-
-    def step(self, ctx: "_RunContext") -> tuple[str, int, dict | None]:
-        """One reference-loop iteration; returns ``(kind, delta, info)``.
-
-        ``kind`` is ``"idle"`` / ``"refill"`` / ``"batch"``; ``delta`` the
-        local clock advance (drain-flush stalls included); ``info`` the
-        profiler/tracer payload of a non-idle step.
-        """
-        engine, cfg, stats = self.engine, self.engine.config, self.stats
-        buffer, clock = self.buffer, self.clock
-        clock0 = clock.cycles
-        wall0 = time.perf_counter_ns() if ctx.tracer else 0
-        flush_cycles0 = stats.stage_cycles.get("flush", 0)
-        flushes0 = stats.flushes
-
-        # Drain the input FIFO into the buffer area.  The transfer itself
-        # was charged as interconnect streaming cycles at the previous
-        # superstep boundary; an overflow flush stalls this PE normally.
-        if self.inbox:
-            for rec in self.inbox:
-                if self.buffer_in_bram and buffer.is_full:
-                    before = clock.cycles
-                    engine._flush(buffer, self.rec_w, self.bram, self.dram,
-                                  self.dram_area, stats)
-                    stats.add_stage_cycles("flush", clock.cycles - before)
-                buffer.push(rec)
-            self.inbox.clear()
-
-        if buffer.is_empty:
-            if self.buffer_in_bram and not self.dram_area.is_empty:
-                block = self.dram_area.fetch_tail(cfg.theta1)
-                self.dram.burst_read(len(block) * self.rec_w)
-                self.bram.write(len(block) * self.rec_w)
-                for rec in block:
-                    buffer.push(rec)
-                stats.refills += 1
-                stats.refilled_paths += len(block)
-                refill_cycles = clock.cycles - clock0
-                stats.add_stage_cycles("refill", refill_cycles)
-                return ("refill", refill_cycles,
-                        {"paths": len(block), "wall0": wall0})
-            return ("idle", 0, None)
-
-        entries = ctx.batch_fn(buffer, cfg.theta2)
-        if not entries:
-            return ("idle", 0, None)
-        stats.batches += 1
-
-        costs: list[_StageCost] = []
-
-        # Stage 1: move the batch into the processing area.
-        load = engine._stage(self.bram, self.dram, costs)
-        with self.bram.with_clock(load[0]), self.dram.with_clock(load[1]):
-            moved = len(entries) * self.rec_w
-            if self.buffer_in_bram:
-                self.bram.read(moved)
-            else:
-                self.dram.burst_read(moved)
-                self.dram.random_write(2 * len(entries))
-            self.bram.write(moved)
-
-        # Stage 2: edge fetch — gather successor slices.
-        fetch = engine._stage(self.bram, self.dram, costs)
-        successor_lists: list[np.ndarray] = []
-        n_items = 0
-        with self.bram.with_clock(fetch[0]), self.dram.with_clock(fetch[1]):
-            for entry in entries:
-                plen = len(entry.vertices) - 1
-                stats.expansions_by_parent_length[plen] = (
-                    stats.expansions_by_parent_length.get(plen, 0)
-                    + entry.num_expansions
-                )
-                nbrs = self.edge_arr.read_range(entry.nbr_lo, entry.nbr_hi)
-                successor_lists.append(nbrs)
-                n_items += nbrs.size
-        stats.expansions += n_items
-
-        # Stage 3: barrier fetch — one gather per expansion.
-        barf = engine._stage(self.bram, self.dram, costs)
-        barrier_lists: list[np.ndarray] = []
-        with self.bram.with_clock(barf[0]), self.dram.with_clock(barf[1]):
-            for nbrs in successor_lists:
-                barrier_lists.append(self.bar_arr.read_vector(nbrs))
-
-        # Stage 4: verification (Algorithm 2).
-        target, max_hops = ctx.target, ctx.max_hops
-        batch_results: list[tuple[int, ...]] = []
-        valid_paths: list[tuple[int, ...]] = []
-        for entry, nbrs, bars in zip(entries, successor_lists,
-                                     barrier_lists):
-            if nbrs.size == 0:
-                continue
-            parent = entry.vertices
-            hops = len(parent) - 1
-            is_target = nbrs == target
-            n_target = int(np.count_nonzero(is_target))
-            stats.rejected_target += n_target
-            if n_target and hops + 1 <= max_hops:
-                full = parent + (target,)
-                batch_results.extend([full] * n_target)
-            rest = nbrs[~is_target]
-            rest_bars = bars[~is_target]
-            bar_ok = hops + 1 + rest_bars <= max_hops
-            stats.rejected_barrier += int(np.count_nonzero(~bar_ok))
-            candidates = rest[bar_ok]
-            if candidates.size:
-                fresh = ~np.isin(candidates, parent)
-                stats.rejected_visited += int(np.count_nonzero(~fresh))
-                for u in candidates[fresh]:
-                    valid_paths.append(parent + (int(u),))
-        verify_cost = _StageCost()
-        verify_cost.compute = self.verifier.batch_cycles(n_items)
-        costs.append(verify_cost)
-
-        dropped_results = False
-        if ctx.max_results is not None:
-            room = ctx.max_results - ctx.total_results
-            if len(batch_results) > room:
-                batch_results = batch_results[:room]
-                dropped_results = True
-
-        # Stage 5: write-back — results to DRAM, survivors to the buffer
-        # or, when the tail vertex is foreign, to the output FIFO.
-        wb = engine._stage(self.bram, self.dram, costs)
-        new_records: list[tuple[int, PathRecord]] = []
-        owners = ctx.owners
-        with self.bram.with_clock(wb[0]), self.dram.with_clock(wb[1]):
-            if batch_results:
-                if ctx.collect_paths:
-                    ctx.results.extend(batch_results)
-                if ctx.on_result is not None:
-                    for p in batch_results:
-                        ctx.on_result(p)
-                stats.results += len(batch_results)
-                ctx.total_results += len(batch_results)
-                self.dram.burst_write(sum(len(p) + 1
-                                          for p in batch_results))
-            if valid_paths:
-                tails = np.fromiter(
-                    (p[-1] for p in valid_paths), dtype=np.int64,
-                    count=len(valid_paths),
-                )
-                lows = self.vertex_arr.read_vector(tails)
-                highs = self.vertex_arr.read_vector(tails + 1)
-            else:
-                lows = highs = ()
-            for p, nlo, nhi in zip(valid_paths, lows, highs):
-                plen = len(p) - 2  # parent length
-                stats.new_paths_by_parent_length[plen] = (
-                    stats.new_paths_by_parent_length.get(plen, 0) + 1
-                )
-                stats.intermediate_paths += 1
-                if nlo >= nhi:
-                    continue  # dead end: no successors, drop now
-                # The push charge models the record write whether the
-                # destination is the local buffer or the output FIFO —
-                # both live in this PE's memory domain.
-                engine._charge_push(self.bram, self.dram, self.rec_w,
-                                    self.buffer_in_bram)
-                new_records.append(
-                    (owners[p[-1]], PathRecord(p, int(nlo), int(nhi)))
-                )
-
-        channels = engine.device_config.dram_channels
-        dram_bound = -(-sum(c.dram for c in costs) // channels)
-        batch_cycles = max(
-            max(c.total for c in costs),
-            dram_bound,
-        ) + cfg.batch_overhead_cycles
-        clock.advance(batch_cycles)
-        for name, cost in zip(
-            ("load", "edge_fetch", "barrier_fetch", "verify",
-             "writeback"), costs,
-        ):
-            stats.add_stage_cycles(name, cost.total)
-        stats.add_stage_cycles("overhead", cfg.batch_overhead_cycles)
-
-        # Apply the buffered pushes; local overflow stalls the pipeline,
-        # foreign records wait in the output FIFO for the superstep
-        # boundary.
-        for own, rec in new_records:
-            if own == self.index:
-                if self.buffer_in_bram and buffer.is_full:
-                    before = clock.cycles
-                    engine._flush(buffer, self.rec_w, self.bram,
-                                  self.dram, self.dram_area, stats)
-                    stats.add_stage_cycles("flush", clock.cycles - before)
-                buffer.push(rec)
-            else:
-                self.outbox.setdefault(own, []).append(rec)
-
-        delta = clock.cycles - clock0
-        stage_breakdown = dict(zip(
-            ("load", "edge_fetch", "barrier_fetch", "verify",
-             "writeback"),
-            (c.total for c in costs),
-        ))
-        info = {
-            "wall0": wall0,
-            "entries": len(entries),
-            "expansions": n_items,
-            "results": len(batch_results),
-            "new_paths": len(valid_paths),
-            "pipeline_cycles": batch_cycles - cfg.batch_overhead_cycles,
-            "overhead_cycles": cfg.batch_overhead_cycles,
-            "flush_cycles": (stats.stage_cycles.get("flush", 0)
-                             - flush_cycles0),
-            "flushes": stats.flushes - flushes0,
-            "dram_cycles": sum(c.dram for c in costs),
-            "buffer_paths": len(buffer),
-            "stage_cycles": stage_breakdown,
-            "dropped_results": dropped_results,
-        }
-        return ("batch", delta, info)
-
-
-class _RunContext:
-    """Shared per-run state the PE steps read and update."""
-
-    __slots__ = ("target", "max_hops", "owners", "batch_fn", "results",
-                 "collect_paths", "on_result", "max_results",
-                 "total_results", "tracer")
-
-    def __init__(self, target, max_hops, owners, batch_fn, collect_paths,
-                 on_result, max_results, tracer) -> None:
-        self.target = target
-        self.max_hops = max_hops
-        self.owners = owners
-        self.batch_fn = batch_fn
-        self.results: list[tuple[int, ...]] = []
-        self.collect_paths = collect_paths
-        self.on_result = on_result
-        self.max_results = max_results
-        self.total_results = 0
-        self.tracer = tracer
+    Capacities are per pipeline, so every PE makes the same static
+    allocations and keeps the full CSR (replicated per DRAM channel, as
+    in multi-channel BFS accelerators) with the same BRAM prefix
+    budgets; ownership only controls which PE *expands* a record.
+    """
+    cfg = engine.config
+    device = Device(engine.device_config)
+    bram, dram = device.bram, device.dram
+    stats = EngineStats()
+    bram.allocate(cfg.theta2 * (rec_w + 2), "processing_area")
+    if cfg.use_cache:
+        bram.allocate(cfg.buffer_capacity_paths * rec_w, "buffer_area")
+        buffer = BufferArea(cfg.buffer_capacity_paths)
+    else:
+        # Buffer stack lives in DRAM: unbounded, every touch off-chip.
+        buffer = BufferArea(2**62)
+        stats.buffer_domain = "dram"
+    vertex_budget = min(len(graph.indptr), cfg.graph_cache_words)
+    edge_budget = max(0, cfg.graph_cache_words - vertex_budget)
+    arrays = (
+        CachedArray(graph.indptr, bram, dram, vertex_budget, "vertex_arr",
+                    enabled=cfg.use_cache),
+        CachedArray(graph.indices, bram, dram, edge_budget, "edge_arr",
+                    enabled=cfg.use_cache),
+        CachedArray(barrier, bram, dram, cfg.barrier_cache_words, "bar_arr",
+                    enabled=cfg.use_cache),
+    )
+    return device, stats, buffer, DramArea(), arrays
 
 
 def run_multi_pe(
@@ -396,281 +137,276 @@ def run_multi_pe(
         raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
     if len(barrier) != graph.num_vertices:
         raise QueryError("barrier array size does not match graph")
+    # A simple path has at most |V| - 1 edges, so the path-record width
+    # (and every hop comparison) can be clamped without changing the
+    # answer; this keeps huge user-supplied k from inflating BRAM needs.
     max_hops = min(max_hops, graph.num_vertices - 1)
 
-    cfg = engine.config
     dcfg = engine.device_config
     num_pes = dcfg.num_pes
     frequency = dcfg.frequency_hz
     rec_w = record_words(max_hops)
 
-    partitioner = VertexPartitioner(graph.num_vertices, num_pes,
-                                    dcfg.pe_partition)
-    owners = partitioner.owners.tolist()
-    arbiter = RoundRobinArbiter(dcfg)
+    owners = None
+    if num_pes > 1:
+        owners = VertexPartitioner(graph.num_vertices, num_pes,
+                                   dcfg.pe_partition).owners.tolist()
+        arbiter = RoundRobinArbiter(dcfg)
     barrier_cost = barrier_sync_cycles(dcfg)
 
-    pes = [_PEState(engine, i, graph, barrier, rec_w)
-           for i in range(num_pes)]
+    pes = [_allocate_pe(engine, graph, barrier, rec_w)
+           for _ in range(num_pes)]
     profiler = DeviceProfiler() if profile else None
+    timed = bool(tracer)
+    observing = profiler is not None or timed
     max_results = budget.max_results if budget is not None else None
     max_cycles = budget.max_cycles if budget is not None else None
     truncated = False
-    ctx = _RunContext(target, max_hops, owners,
-                      batch_dfs if cfg.use_batch_dfs else fifo_batch,
-                      collect_paths, on_result, max_results, tracer)
+    results: list[tuple[int, ...]] = []
 
     # --- seed: only the owner of `source` starts with work ------------
-    setup_wall = time.perf_counter_ns() if tracer else 0
-    seed_pe = pes[owners[source]]
-    lo = seed_pe.vertex_arr.read(source)
-    hi = seed_pe.vertex_arr.read(source + 1)
+    setup_wall = time.perf_counter_ns() if timed else 0
+    seed_device, _, seed_buffer, _, seed_arrays = pes[
+        owners[source] if owners else 0]
+    lo = seed_arrays[0].read(source)
+    hi = seed_arrays[0].read(source + 1)
     if lo < hi:
-        engine._charge_push(seed_pe.bram, seed_pe.dram, rec_w,
-                            seed_pe.buffer_in_bram)
-        seed_pe.buffer.push(PathRecord((source,), lo, hi))
-    setup_cycles = seed_pe.clock.cycles
+        engine._charge_push(seed_device.bram, seed_device.dram, rec_w,
+                            engine.config.use_cache)
+        seed_buffer.push(PathRecord((source,), lo, hi))
+    setup_cycles = seed_device.clock.cycles
     global_cycles = setup_cycles
     if profiler is not None:
         profiler.mark_setup(setup_cycles)
-    if tracer:
+    if timed:
         tracer.complete("kernel_setup", setup_wall,
                         modelled_seconds=setup_cycles / frequency,
                         cycles=setup_cycles)
 
-    def work_remaining() -> bool:
-        return any(pe.has_work() for pe in pes)
+    inboxes: list[list] = [[] for _ in range(num_pes)]
+    outboxes: list[list[list]] = [[[] for _ in range(num_pes)]
+                                  for _ in range(num_pes)]
+    steps = [
+        engine._pe_steps(i, pe, graph, target, max_hops, barrier, owners,
+                         inboxes[i], outboxes[i],
+                         results if collect_paths else None, on_result,
+                         observing, timed)
+        for i, pe in enumerate(pes)
+    ]
+    for step in steps:
+        step.send(None)  # run each kernel's setup up to its first step
+    sends = [step.send for step in steps]
+    # Shadow spans need every PE's step event, not just the critical one.
+    shadow = timed and num_pes > 1
+    events: list[tuple[int, tuple]] = []
 
     # --- superstep loop ------------------------------------------------
+    busy = lo < hi
+    room = max_results
+    total_results = 0
     superstep = 0
-    inter_messages = 0
-    inter_route = inter_arbiter = inter_stall = inter_barrier = 0
+    stats = EngineStats()  # interconnect counters (N > 1); PEs merge in
     while True:
         if max_cycles is not None and global_cycles >= max_cycles:
-            truncated = work_remaining()
+            truncated = busy
             break
-        if not work_remaining():
+        if not busy:
             break
 
-        events = [pe.step(ctx) for pe in pes]
-
-        # Critical PE: the slowest non-idle step holds the superstep
-        # (ties resolve to the lowest PE index).
-        crit_idx = -1
-        crit_delta = -1
-        for i, (kind, delta, _info) in enumerate(events):
-            if kind != "idle" and delta > crit_delta:
-                crit_idx, crit_delta = i, delta
-        if crit_idx < 0:
-            break  # defensive: work_remaining() guarantees a step ran
-        crit_kind, crit_delta, crit_info = events[crit_idx]
-        dropped_any = any(
-            kind == "batch" and info["dropped_results"]
-            for kind, _d, info in events
-        )
-
-        # Route foreign records through the per-destination FIFOs.
-        # Destinations drain in parallel: the superstep pays the slowest
-        # FIFO's charge (ties to the lowest destination index).
-        route_total = 0
-        crit_charge = None
-        step_messages = 0
-        if any(pe.outbox for pe in pes):
-            for dest in range(num_pes):
-                queues = {src: pes[src].outbox.get(dest, ())
-                          for src in range(num_pes) if src != dest}
-                if not any(queues.values()):
-                    continue
-                delivered, charge = arbiter.merge(dest, queues)
-                pes[dest].inbox.extend(delivered)
-                step_messages += charge.messages
-                if charge.total > route_total:
-                    route_total = charge.total
-                    crit_charge = charge
-            for pe in pes:
-                pe.outbox = {}
-        bar_cycles = barrier_cost
-        inter_cycles = route_total + bar_cycles
-
-        global_cycles += crit_delta + inter_cycles
-        inter_messages += step_messages
-        if crit_charge is not None:
-            inter_route += crit_charge.hop_cycles + crit_charge.stream_cycles
-            inter_arbiter += crit_charge.arbiter_cycles
-            inter_stall += crit_charge.stall_cycles
-        inter_barrier += bar_cycles
-
+        # Every PE takes one step; the slowest non-idle one is critical
+        # and holds the superstep (ties resolve to the lowest index).
+        busy = dropped_any = False
+        crit = None
+        crit_idx = crit_delta = -1
+        for i, send in enumerate(sends):
+            event = send(room)
+            if event is None:
+                continue
+            _kind, delta, n_res, dropped, more, _wall0, _info = event
+            if more:
+                busy = True
+            if n_res:
+                total_results += n_res
+                if max_results is not None:
+                    room = max_results - total_results
+            if dropped:
+                dropped_any = True
+            if delta > crit_delta:
+                crit, crit_idx, crit_delta = event, i, delta
+            if shadow:
+                events.append((i, event))
+        if crit is None:
+            break  # defensive: `busy` guarantees a step ran
+        global_cycles += crit_delta
         # Profile/trace: the critical PE's event is the superstep's
         # device event; interconnect + barrier charges get their own.
-        if profiler is not None:
-            if crit_kind == "batch":
-                profiler.record_batch(
-                    entries=crit_info["entries"],
-                    expansions=crit_info["expansions"],
-                    results=crit_info["results"],
-                    new_paths=crit_info["new_paths"],
-                    cycles=crit_delta,
-                    pipeline_cycles=crit_info["pipeline_cycles"],
-                    overhead_cycles=crit_info["overhead_cycles"],
-                    flush_cycles=crit_info["flush_cycles"],
-                    flushes=crit_info["flushes"],
-                    dram_cycles=crit_info["dram_cycles"],
-                    buffer_paths=crit_info["buffer_paths"],
-                    stage_cycles=crit_info["stage_cycles"],
-                )
+        if observing:
+            kind, _, _, _, _, wall0, info = crit
+            seconds = crit_delta / frequency
+            if kind == "refill":
+                if profiler is not None:
+                    profiler.record_refill(crit_delta, info)
+                if timed:
+                    tracer.complete("refill", wall0, modelled_seconds=seconds,
+                                    cycles=crit_delta, paths=info)
             else:
-                profiler.record_refill(crit_delta, crit_info["paths"])
-            if inter_cycles:
-                crit = crit_charge
-                profiler.record_inter_pe(
-                    superstep=superstep,
-                    cycles=inter_cycles,
-                    messages=step_messages,
-                    route_cycles=(crit.hop_cycles + crit.stream_cycles
-                                  if crit else 0),
-                    arbiter_cycles=crit.arbiter_cycles if crit else 0,
-                    stall_cycles=crit.stall_cycles if crit else 0,
-                    barrier_cycles=bar_cycles,
-                )
-        if tracer:
-            if crit_kind == "batch":
-                stages = crit_info["stage_cycles"]
-                slowest = max(stages.values(), default=0)
-                tracer.complete(
-                    "batch", crit_info["wall0"],
-                    modelled_seconds=crit_delta / frequency,
-                    entries=crit_info["entries"],
-                    expansions=crit_info["expansions"],
-                    results=crit_info["results"],
-                    cycles=crit_delta,
-                    busy_cycles=slowest,
-                    stall_cycles=(crit_info["pipeline_cycles"] - slowest
-                                  + crit_info["flush_cycles"]),
-                    overhead_cycles=crit_info["overhead_cycles"],
-                    bound=("verify"
-                           if stages.get("verify", 0) == slowest
-                           and slowest > 0 else "expand"),
-                )
-            else:
-                tracer.complete(
-                    "refill", crit_info["wall0"],
-                    modelled_seconds=crit_delta / frequency,
-                    cycles=crit_delta,
-                    paths=crit_info["paths"],
-                )
-            if inter_cycles:
-                tracer.complete(
-                    "inter_pe", time.perf_counter_ns(),
-                    modelled_seconds=inter_cycles / frequency,
-                    cycles=inter_cycles,
-                    messages=step_messages,
-                    barrier_cycles=bar_cycles,
-                )
-            if num_pes > 1:
-                # Shadow spans: every non-idle PE's step on its own
-                # track.  Attribution folds only the critical batch /
-                # refill / inter_pe spans above; these are for the
-                # timeline view.
-                for i, (kind, delta, info) in enumerate(events):
-                    if kind == "idle":
-                        continue
+                if profiler is not None:
+                    profiler.record_batch(**info)
+                if timed:
+                    # The exact cycle split the attribution layer reads
+                    # (repro.observability.analysis): the pipeline window
+                    # is bounded by its slowest stage (busy) or the DRAM
+                    # channels (stall); busy + stall + overhead tiles the
+                    # step's clock delta exactly.
+                    stages = info["stage_cycles"]
+                    slowest = max(stages.values())
                     tracer.complete(
-                        "pe_step", info["wall0"],
+                        "batch", wall0, modelled_seconds=seconds,
+                        entries=info["entries"],
+                        expansions=info["expansions"],
+                        results=info["results"],
+                        cycles=crit_delta,
+                        busy_cycles=slowest,
+                        stall_cycles=(info["pipeline_cycles"] - slowest
+                                      + info["flush_cycles"]),
+                        overhead_cycles=info["overhead_cycles"],
+                        bound=("verify" if stages["verify"] == slowest
+                               and slowest > 0 else "expand"),
+                    )
+
+        # One PE routes nothing and its barrier is free.
+        if owners is not None:
+            # Route foreign records through the per-destination FIFOs.
+            # Destinations drain in parallel: the superstep pays the
+            # slowest FIFO's charge (ties to the lowest destination).
+            route_total = 0
+            crit_charge = None
+            step_messages = 0
+            if any(map(any, outboxes)):
+                for dest in range(num_pes):
+                    queues = {src: outboxes[src][dest]
+                              for src in range(num_pes) if src != dest}
+                    if not any(queues.values()):
+                        continue
+                    delivered, charge = arbiter.merge(dest, queues)
+                    inboxes[dest].extend(delivered)
+                    step_messages += charge.messages
+                    if charge.total > route_total:
+                        route_total = charge.total
+                        crit_charge = charge
+                for outbox in outboxes:
+                    for queue in outbox:
+                        queue.clear()
+                if step_messages:
+                    busy = True
+            inter_cycles = route_total + barrier_cost
+            global_cycles += inter_cycles
+            stats.inter_pe_messages += step_messages
+            crit_route = crit_arbiter = crit_stall = 0
+            if crit_charge is not None:
+                crit_route = (crit_charge.hop_cycles
+                              + crit_charge.stream_cycles)
+                crit_arbiter = crit_charge.arbiter_cycles
+                crit_stall = crit_charge.stall_cycles
+            stats.inter_pe_route_cycles += crit_route
+            stats.inter_pe_arbiter_cycles += crit_arbiter
+            stats.inter_pe_stall_cycles += crit_stall
+            stats.inter_pe_barrier_cycles += barrier_cost
+
+            if observing:
+                if inter_cycles and profiler is not None:
+                    profiler.record_inter_pe(
+                        superstep=superstep, cycles=inter_cycles,
+                        messages=step_messages, route_cycles=crit_route,
+                        arbiter_cycles=crit_arbiter, stall_cycles=crit_stall,
+                        barrier_cycles=barrier_cost,
+                    )
+                if inter_cycles and timed:
+                    tracer.complete(
+                        "inter_pe", time.perf_counter_ns(),
+                        modelled_seconds=inter_cycles / frequency,
+                        cycles=inter_cycles, messages=step_messages,
+                        barrier_cycles=barrier_cost,
+                    )
+                # Shadow spans: every non-idle PE's step on its own track.
+                # Attribution folds only the critical batch / refill /
+                # inter_pe spans above; these are for the timeline view.
+                for i, (kind, delta, *_, wall0, _info) in events:
+                    tracer.complete(
+                        "pe_step", wall0,
                         modelled_seconds=delta / frequency,
                         track=f"pe{i}",
                         pe=i, kind=kind, cycles=delta,
                         critical=(i == crit_idx),
                     )
+                events.clear()
+            superstep += 1
 
-        superstep += 1
-        if max_results is not None and ctx.total_results >= max_results:
-            truncated = dropped_any or work_remaining()
+        if max_results is not None and total_results >= max_results:
+            truncated = dropped_any or busy
             break
 
     # --- merge per-PE state into the run result ------------------------
-    stats = _merge_stats(pes)
-    stats.inter_pe_messages = inter_messages
-    stats.inter_pe_route_cycles = inter_route
-    stats.inter_pe_arbiter_cycles = inter_arbiter
-    stats.inter_pe_stall_cycles = inter_stall
-    stats.inter_pe_barrier_cycles = inter_barrier
-    total_inter = inter_route + inter_arbiter + inter_stall + inter_barrier
-    stats.add_stage_cycles("inter_pe", total_inter)
-
+    for step in steps:
+        step.close()  # folds the kernel's deferred counters
     if num_pes == 1:
-        device = pes[0].device
+        # nothing crossed the interconnect: the PE's stats are the run's
+        device, stats, buffer, dram_area, cached = pes[0]
+        stats.peak_buffer_paths = buffer.peak_occupancy
+        stats.peak_dram_paths = dram_area.peak_occupancy
     else:
-        device = MultiPEDevice(dcfg, [pe.device for pe in pes])
+        _merge_stats(pes, stats)
+        stats.add_stage_cycles(
+            "inter_pe", stats.inter_pe_route_cycles
+            + stats.inter_pe_arbiter_cycles + stats.inter_pe_stall_cycles
+            + stats.inter_pe_barrier_cycles)
+        device = MultiPEDevice(dcfg, [pe[0] for pe in pes])
         device.clock.advance(global_cycles)
-
-    run_profile = None
-    if profiler is not None:
-        if num_pes == 1:
-            pe = pes[0]
-            cached = (pe.vertex_arr, pe.edge_arr, pe.bar_arr)
-        else:
-            cached = tuple(
-                _MergedCounters(label, [getattr(pe, attr) for pe in pes])
-                for label, attr in (("vertex_arr", "vertex_arr"),
-                                    ("edge_arr", "edge_arr"),
-                                    ("bar_arr", "bar_arr"))
-            )
-        run_profile = profiler.finish(
-            device,
-            cached,
-            stats.peak_buffer_paths,
-            stats.peak_dram_paths,
-            verify_funnel={
-                "expansions": stats.expansions,
-                "rejected_target": stats.rejected_target,
-                "rejected_barrier": stats.rejected_barrier,
-                "rejected_visited": stats.rejected_visited,
-                "survivors": stats.intermediate_paths,
-            },
-            buffer_domain=stats.buffer_domain,
-            num_pes=num_pes,
+        cached = tuple(
+            _MergedCounters(label, [pe[4][k] for pe in pes])
+            for k, label in enumerate(("vertex_arr", "edge_arr", "bar_arr"))
         )
 
     return EngineRunResult(
-        paths=ctx.results,
+        paths=results,
         cycles=device.cycles,
         seconds=device.elapsed_seconds(),
         stats=stats,
         device=device,
         truncated=truncated,
-        profile=run_profile,
+        profile=(
+            profiler.finish(
+                device,
+                cached,
+                stats.peak_buffer_paths,
+                stats.peak_dram_paths,
+                verify_funnel={
+                    "expansions": stats.expansions,
+                    "rejected_target": stats.rejected_target,
+                    "rejected_barrier": stats.rejected_barrier,
+                    "rejected_visited": stats.rejected_visited,
+                    "survivors": stats.intermediate_paths,
+                },
+                buffer_domain=stats.buffer_domain,
+                num_pes=num_pes,
+            )
+            if profiler is not None else None
+        ),
     )
 
 
-def _merge_stats(pes: list[_PEState]) -> EngineStats:
-    """Sum the per-PE counters; peaks take the max across PEs."""
-    merged = EngineStats()
-    for pe in pes:
-        st = pe.stats
-        merged.batches += st.batches
-        merged.expansions += st.expansions
-        merged.results += st.results
-        merged.intermediate_paths += st.intermediate_paths
-        merged.rejected_target += st.rejected_target
-        merged.rejected_barrier += st.rejected_barrier
-        merged.rejected_visited += st.rejected_visited
-        merged.flushes += st.flushes
-        merged.flushed_paths += st.flushed_paths
-        merged.refills += st.refills
-        merged.refilled_paths += st.refilled_paths
-        for key, value in st.new_paths_by_parent_length.items():
-            merged.new_paths_by_parent_length[key] = (
-                merged.new_paths_by_parent_length.get(key, 0) + value
-            )
-        for key, value in st.expansions_by_parent_length.items():
-            merged.expansions_by_parent_length[key] = (
-                merged.expansions_by_parent_length.get(key, 0) + value
-            )
-        for stage, cycles in st.stage_cycles.items():
-            merged.add_stage_cycles(stage, cycles)
+def _merge_stats(pes: list[tuple], merged: EngineStats) -> None:
+    """Sum the per-PE counters into ``merged``; peaks take the max."""
+    merged.buffer_domain = pes[0][1].buffer_domain
+    for _device, st, buffer, dram_area, _arrays in pes:
+        for name in _SUMMED_STATS:
+            setattr(merged, name, getattr(merged, name) + getattr(st, name))
+        for name in ("new_paths_by_parent_length",
+                     "expansions_by_parent_length", "stage_cycles"):
+            into = getattr(merged, name)
+            for key, value in getattr(st, name).items():
+                into[key] = into.get(key, 0) + value
         merged.peak_buffer_paths = max(merged.peak_buffer_paths,
-                                       pe.buffer.peak_occupancy)
+                                       buffer.peak_occupancy)
         merged.peak_dram_paths = max(merged.peak_dram_paths,
-                                     pe.dram_area.peak_occupancy)
-    merged.buffer_domain = pes[0].stats.buffer_domain
-    return merged
+                                     dram_area.peak_occupancy)
