@@ -16,7 +16,7 @@ from repro.service.metrics import (
     MetricsTimeline,
     percentile,
 )
-from repro.service.parallel import BatchOutcome, ProcessEnginePool
+from repro.service.parallel import ProcessEnginePool
 from repro.service.scheduler import (
     SCHEDULER_NAMES,
     SCHEDULERS,
@@ -45,7 +45,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsTimeline",
     "percentile",
-    "BatchOutcome",
     "ProcessEnginePool",
     "SCHEDULER_NAMES",
     "SCHEDULERS",

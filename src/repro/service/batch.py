@@ -7,22 +7,28 @@ Pre-BFS results) are shared across all of them, and the batch is dispatched
 over N engine instances — each a full :class:`PathEnumerationSystem` whose
 kernel runs keep their own per-device cycle accounting.
 
-Two dispatch backends serve the same contract:
+One dispatcher serves every backend.  The service alone plans work: a
+static scheduler's assignment or the work-stealing order, then one
+round after another, requeueing what retired engines left onto the
+survivors (:meth:`BatchQueryService._dispatch`).  A backend only runs a
+round, and every engine, wherever it runs, serves its part through the
+one loop :meth:`EngineServer.serve_all`:
 
-- ``backend="thread"`` (the default) runs one worker thread per engine.
-  This only *overlaps modelled device time*: each engine advances its own
-  simulated device clock independently, but the host-side enumeration that
-  produces those clocks is pure Python and therefore GIL-bound — N thread
-  workers add almost no wall-clock throughput over one.  Answers and
-  modelled timings are independent of thread interleaving either way.
-- ``backend="process"`` (see :mod:`repro.service.parallel`) runs one
-  engine per worker *process*: the graph and its reverse CSR ship to each
-  worker once, queries stream over a work queue, and answers, metrics,
-  trace spans and device profiles are marshalled back to the coordinator.
-  Host-side enumeration then runs genuinely in parallel, which is where
-  real wall-clock scaling comes from; every modelled number is identical
-  to the thread backend by construction (the differential test suite
-  asserts this).
+- ``backend="thread"`` (the default) runs a round in this process: the
+  engines in order on the calling thread with ``use_threads=False``, or
+  one thread each.  The host-side enumeration is pure Python and
+  GIL-bound, so threads overlap only *modelled* device time; measured
+  on a 2-core host, thread and serial walls are about equal.
+- ``backend="process"`` (see :mod:`repro.service.parallel`) runs each
+  engine in its own worker *process*: the graph and its reverse CSR
+  ship to each worker once, and answers, metrics, trace spans and
+  device profiles are marshalled back.  On the same host it is
+  1.2-1.5x faster than serial on dense ``rt`` batches (k=4, 64
+  queries, 2 engines) and no faster, often slower, on small sparse
+  batches.
+
+Answers and every modelled number are identical across backends by
+construction (the differential test suite asserts this).
 
 Robustness layer
 ----------------
@@ -56,11 +62,11 @@ from __future__ import annotations
 import json
 import random
 import sys
-import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.config import QueryBudget
 from repro.errors import ConfigError, EngineFailure, ServiceError
@@ -82,6 +88,7 @@ from repro.service.scheduler import (
     SCHEDULERS,
     WORK_STEALING,
     Assignment,
+    group_by_source,
     grouped_assignment,
     grouped_steal_order,
     requeue,
@@ -190,7 +197,7 @@ class EngineServer:
         self.host_busy = 0.0
         self.device_busy = 0.0
         #: whether the most recent :meth:`serve` was answered from the
-        #: result cache.  The dispatcher reads this to timestamp cache
+        #: result cache.  :meth:`serve_all` reads this to timestamp cache
         #: hits on the telemetry timeline — per-query attributable and
         #: deterministic, unlike diffing shared cache stats under
         #: concurrent engines.
@@ -269,6 +276,46 @@ class EngineServer:
         self.host_busy += probe_seconds
         return report
 
+    def serve_all(self, engine_idx: int, source, deliver,
+                  metrics: MetricsRegistry, tracer=None,
+                  timeline: MetricsTimeline | None = None) -> list[int]:
+        """Serve ``source`` on engine ``engine_idx``; return what is left.
+
+        The one per-engine serve loop: in-process rounds (serial or one
+        thread per engine) and worker processes all run it.  ``source``
+        is either a static plan, a list of ``(index, query)`` items, or,
+        under work stealing, an iterable of chunks taken from a shared
+        queue, each a list of items (a whole source group under
+        sharing).  Every answer goes to ``deliver(engine_idx, index,
+        report)`` and is observed into ``metrics`` and ``timeline``;
+        static plans also gauge the engine's remaining queue depth (a
+        stolen queue's length depends on interleaving, so it is not
+        gauged).  On :class:`~repro.errors.EngineFailure` the loop stops
+        and returns the indices of its current list from the failing
+        query on; the caller requeues them.
+        """
+        static = isinstance(source, list)
+        gauge = f"engine{engine_idx}/queue_depth"
+        with (tracer or NULL_TRACER).track(f"engine{engine_idx}"):
+            for chunk in (source,) if static else source:
+                last = len(chunk) - 1
+                for pos, (idx, query) in enumerate(chunk):
+                    try:
+                        report, degraded = self.serve(query, tracer)
+                    except EngineFailure:
+                        return [i for i, _ in chunk[pos:]]
+                    deliver(engine_idx, idx, report)
+                    t_end = self.host_busy + self.device_busy
+                    observe_report(metrics, report, engine_idx,
+                                   degraded=degraded, timeline=timeline,
+                                   t_end=t_end)
+                    if timeline is not None:
+                        if self.last_result_hit:
+                            timeline.record(t_end, "result_hits")
+                        if static:
+                            timeline.set_gauge(t_end, gauge, last - pos)
+        return []
+
 
 def observe_report(metrics: MetricsRegistry, report: SystemReport,
                    engine_idx: int, degraded: bool = False,
@@ -276,10 +323,10 @@ def observe_report(metrics: MetricsRegistry, report: SystemReport,
                    t_end: float | None = None) -> None:
     """Fold one query's outcome into a metrics registry.
 
-    A module function (not a service method) because the process backend
-    runs it inside worker processes against worker-local registries that
-    are merged on the coordinator afterwards — both backends must observe
-    identically for the merged view to match the thread backend's.
+    A module function (not a service method) because
+    :meth:`EngineServer.serve_all` also runs inside worker processes,
+    against worker-local registries that are merged on the coordinator
+    afterwards.
 
     With a ``timeline``, every counter bump and latency sample is also
     recorded into the tumbling window of ``t_end`` — the serving engine's
@@ -376,32 +423,47 @@ def observe_profile(metrics: MetricsRegistry, prof,
         )
 
 
-class _StealQueue:
-    """Shared work queue for the thread backend's work-stealing mode.
+def _take_all(shared: deque):
+    """Pop chunks off a shared work-stealing queue until it is empty.
 
-    Items are batch indices (``int``) in the per-query mode, or whole
-    source groups (``list[int]``) under cross-query sharing — a group is
-    stolen, and put back, as one unit.
+    ``deque.popleft`` is atomic, so engines on several threads may drain
+    one queue without a lock."""
+    while True:
+        try:
+            yield shared.popleft()
+        except IndexError:
+            return
+
+
+class _Batch:
+    """One batch in flight: where every round leaves its answers.
+
+    Rounds run in this process or in the worker processes; either way
+    answers land in ``reports`` (and who served them in ``served_by``),
+    per-engine modelled busy seconds in ``host_busy``/``device_busy``,
+    and telemetry in the service's ``metrics``, ``timeline`` and
+    ``tracer``.  ``worker_stats`` sums the worker-process caches' stat
+    deltas (empty in-process, where the service cache sees every probe).
     """
 
-    __slots__ = ("_items", "_lock")
+    __slots__ = ("reports", "served_by", "host_busy", "device_busy",
+                 "worker_stats", "metrics", "timeline", "tracer")
 
-    def __init__(self, items) -> None:
-        self._items: deque = deque(items)
-        self._lock = threading.Lock()
+    def __init__(self, num_queries: int, num_engines: int,
+                 metrics: MetricsRegistry,
+                 timeline: MetricsTimeline | None, tracer) -> None:
+        self.reports: list[SystemReport | None] = [None] * num_queries
+        self.served_by: list[list[int]] = [[] for _ in range(num_engines)]
+        self.host_busy = [0.0] * num_engines
+        self.device_busy = [0.0] * num_engines
+        self.worker_stats: Counter = Counter()
+        self.metrics = metrics
+        self.timeline = timeline
+        self.tracer = tracer
 
-    def take(self):
-        with self._lock:
-            return self._items.popleft() if self._items else None
-
-    def put_back(self, item) -> None:
-        """Return work a failing engine could not finish."""
-        with self._lock:
-            self._items.appendleft(item)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+    def store(self, engine_idx: int, idx: int, report) -> None:
+        self.reports[idx] = report
+        self.served_by[engine_idx].append(idx)
 
 
 @dataclass
@@ -830,26 +892,11 @@ class BatchQueryService:
             warmup_seconds = self.cost_model.seconds(warmup_ops)
             wspan.set_modelled(warmup_seconds)
 
-        if self.backend == "process":
-            outcome = self._dispatch_process(
-                queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, tr, profile, timeline,
-            )
-        elif self.scheduler == WORK_STEALING:
-            outcome = self._dispatch_thread_stealing(
-                queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, tr, profile, timeline,
-            )
-        else:
-            outcome = self._dispatch_thread_static(
-                queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, tr, profile, timeline,
-            )
-        reports, assignment, host_busy, device_busy, failed, worker_stats = (
-            outcome
+        batch, assignment, failed = self._dispatch(
+            queries, effective, batch_deadline_s, degraded_cycle_budget,
+            profile, tracer, timeline,
         )
-
-        done = [r for r in reports if r is not None]
+        done = [r for r in batch.reports if r is not None]
         if len(done) != len(queries):
             raise ServiceError(
                 f"engine workers lost {len(queries) - len(done)} of "
@@ -869,20 +916,20 @@ class BatchQueryService:
         wall_seconds = time.perf_counter() - wall_start
         cache_stats = dict(self.cache.stats())
         deltas: dict[str, int] = {}
+        worker_stats = batch.worker_stats
         for key in CACHE_STAT_KEYS:
-            delta = cache_stats[key] - stats_before[key]
-            if worker_stats is not None:
-                delta += worker_stats.get(key, 0)
+            delta = (cache_stats[key] - stats_before[key]
+                     + worker_stats.get(key, 0))
             deltas[key] = delta
             self.metrics.increment(key, delta)
         for alias, key in SHARING_COUNTER_ALIASES.items():
             self.metrics.increment(alias, deltas[key])
-        if worker_stats is not None:
-            # Fold the worker-process caches into the reported view; the
-            # coordinator cache itself only ever sees the warmup build.
-            self._worker_stats_total.update(worker_stats)
-            for key, value in self._worker_stats_total.items():
-                cache_stats[key] = cache_stats.get(key, 0) + value
+        # Fold the worker-process caches into the reported view; under
+        # the process backend the coordinator cache itself only ever sees
+        # the warmup build.
+        self._worker_stats_total.update(worker_stats)
+        for key, value in self._worker_stats_total.items():
+            cache_stats[key] = cache_stats.get(key, 0) + value
 
         report = ServiceBatchReport(
             reports=done,
@@ -891,14 +938,12 @@ class BatchQueryService:
             batch_transfer_seconds=batch_transfer,
             warmup_ops=warmup_ops,
             warmup_seconds=warmup_seconds,
-            engine_host_seconds=host_busy,
-            engine_device_seconds=device_busy,
+            engine_host_seconds=batch.host_busy,
+            engine_device_seconds=batch.device_busy,
             wall_seconds=wall_seconds,
             metrics=self.metrics,
             cache_stats=cache_stats,
-            failed_engines=[
-                e for e in range(self.num_engines) if failed[e]
-            ],
+            failed_engines=sorted(failed),
             failure_plan=list(self.failure_plan),
             backend=self.backend,
             sharing=self.sharing,
@@ -940,261 +985,166 @@ class BatchQueryService:
             "attribution/queue_wait_seconds_total", queue_wait
         )
 
-    # -- thread backend, static schedulers ----------------------------
-    def _dispatch_thread_static(
+    # -- dispatch ------------------------------------------------------
+    def _dispatch(
         self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, tr, profile, timeline,
-    ):
-        if self.sharing:
+        profile, tracer, timeline,
+    ) -> tuple[_Batch, Assignment, set[int]]:
+        """Plan the batch, serve it round by round, requeue what is lost.
+
+        The only place that decides which engine serves which query, for
+        every backend.  Static schedulers plan an assignment and work
+        stealing a steal order; each round then runs in this process
+        (:meth:`_round_in_process`) or over the worker processes
+        (:meth:`~repro.service.parallel.ProcessEnginePool.round`).  The
+        engines a round loses are retired for the batch, and what they
+        left unserved is requeued onto the survivors (static schedulers)
+        or put back on the steal queue, until nothing is left or no
+        engine survives.  Returns the batch, the assignment (under work
+        stealing, who served what) and the retired engines.
+        """
+        n = self.num_engines
+        batch = _Batch(len(queries), n, self.metrics, timeline, tracer)
+        if self.backend == "process":
+            if self._pool is None:
+                from repro.service.parallel import ProcessEnginePool
+
+                self._pool = ProcessEnginePool(
+                    graph=self.graph,
+                    variant=self.variant,
+                    num_engines=n,
+                    cost_model=self.cost_model,
+                    engine_kwargs=self.engine_kwargs,
+                    failure_plan=self.failure_plan,
+                    mp_context=self.mp_context,
+                    sharing=self.sharing,
+                )
+            # Engines whose worker process died in an earlier batch stay
+            # retired; they are not counted as failures again.
+            failed = self._pool.start_batch(
+                effective, batch_deadline_s, degraded_cycle_budget,
+                profile, bool(tracer), timeline,
+            )
+            run_round = partial(self._pool.round, batch=batch)
+        else:
+            servers = [
+                EngineServer(system, effective, batch_deadline_s,
+                             degraded_cycle_budget, profile,
+                             share=self.sharing)
+                for system in self.systems
+            ]
+            failed = set()
+            run_round = partial(self._round_in_process, servers, batch)
+
+        stealing = self.scheduler == WORK_STEALING
+        if stealing:
+            if self.sharing:
+                groups = grouped_steal_order(queries, graph=self.graph,
+                                             cache=self.cache)
+            else:
+                groups = [[i] for i in steal_order(
+                    queries, graph=self.graph, cache=self.cache)]
+            assignment = batch.served_by
+        elif self.sharing:
             assignment = grouped_assignment(
-                self.scheduler, queries, self.num_engines,
-                graph=self.graph, cache=self.cache,
+                self.scheduler, queries, n, graph=self.graph,
+                cache=self.cache,
             )
         else:
             assignment = SCHEDULERS[self.scheduler](
-                queries, self.num_engines, graph=self.graph,
-                cache=self.cache,
+                queries, n, graph=self.graph, cache=self.cache
             )
-        reports: list[SystemReport | None] = [None] * len(queries)
-        failed = [False] * self.num_engines
-        servers = [
-            EngineServer(system, effective, batch_deadline_s,
-                         degraded_cycle_budget, profile,
-                         share=self.sharing)
-            for system in self.systems
-        ]
-
-        def serve_engine(engine_idx: int, indices: list[int]) -> list[int]:
-            """Serve ``indices`` on one engine; return what it left behind."""
-            server = servers[engine_idx]
-            # Every query span this worker opens lands on the engine's
-            # own row of the trace timeline.
-            with tr.track(f"engine{engine_idx}"):
-                for pos, query_idx in enumerate(indices):
-                    try:
-                        report, degraded = server.serve(
-                            queries[query_idx], tracer
-                        )
-                    except EngineFailure:
-                        failed[engine_idx] = True
-                        self.metrics.increment("engine_failures")
-                        return indices[pos:]
-                    reports[query_idx] = report
-                    t_end = server.host_busy + server.device_busy
-                    observe_report(self.metrics, report, engine_idx,
-                                   degraded=degraded, timeline=timeline,
-                                   t_end=t_end)
-                    if timeline is not None:
-                        if server.last_result_hit:
-                            timeline.record(t_end, "result_hits")
-                        timeline.set_gauge(
-                            t_end, f"engine{engine_idx}/queue_depth",
-                            len(indices) - pos - 1,
-                        )
-            return []
-
-        work = [list(part) for part in assignment]
+        work = assignment
+        left: list[int] | None = None
         while True:
-            active = [
-                e for e in range(self.num_engines)
-                if work[e] and not failed[e]
-            ]
-            unserved: list[int] = []
-            if self.use_threads and len(active) > 1:
-                # The workers are CPU-bound Python holding the GIL, so
-                # frequent interpreter thread switches buy no overlap and
-                # cost cache/branch-predictor state on every handoff.
-                # Serve with a long switch interval and restore it after.
-                switch_interval = sys.getswitchinterval()
-                sys.setswitchinterval(0.1)
-                try:
-                    with ThreadPoolExecutor(
-                        max_workers=len(active),
-                        thread_name_prefix="pefp-engine",
-                    ) as pool:
-                        futures = [
-                            pool.submit(serve_engine, e, work[e])
-                            for e in active
-                        ]
-                        for future in futures:
-                            unserved.extend(future.result())
-                finally:
-                    sys.setswitchinterval(switch_interval)
-            else:
-                for e in active:
-                    unserved.extend(serve_engine(e, work[e]))
-            if not unserved:
-                break
-            survivors = [
-                e for e in range(self.num_engines) if not failed[e]
-            ]
+            survivors = [e for e in range(n) if e not in failed]
             if not survivors:
+                unanswered = len(queries) if left is None else len(left)
+                detail = self._pool.failure_detail() if self._pool else ""
                 raise ServiceError(
-                    f"all {self.num_engines} engine(s) failed with "
-                    f"{len(unserved)} of {len(queries)} queries unanswered"
+                    f"all {n} engine(s) failed with {unanswered} of "
+                    f"{len(queries)} queries unanswered{detail}"
                 )
-            unserved.sort()
-            self.metrics.increment("requeued_queries", len(unserved))
-            if self.sharing:
-                # Keep surviving source groups whole so the re-dispatch
-                # still shares forward frontiers and dedupes duplicates.
-                work = requeue_groups(queries, unserved,
-                                      self.num_engines, survivors)
+            if left is not None:
+                self.metrics.increment("requeued_queries", len(left))
+                if stealing and self.sharing:
+                    # Surviving source groups stay whole, so the retry
+                    # still shares forward frontiers and dedupes.
+                    groups = [
+                        [left[j] for j in members]
+                        for members in group_by_source(
+                            [queries[i] for i in left])
+                    ]
+                elif stealing:
+                    groups = [[i] for i in left]
+                elif self.sharing:
+                    work = requeue_groups(queries, left, n, survivors)
+                else:
+                    work = requeue(left, n, survivors)
+            if stealing:
+                participants = survivors
+                plan = [[(i, queries[i]) for i in group]
+                        for group in groups]
+                orphaned = []
             else:
-                work = requeue(unserved, self.num_engines, survivors)
+                participants = [e for e in survivors if work[e]]
+                plan = [[(i, queries[i]) for i in part] for part in work]
+                # The scheduler plans over every engine, including one
+                # whose worker process died in an earlier batch; its
+                # share goes straight to the requeue.
+                orphaned = [i for e in failed for i in work[e]]
+            unserved, lost = run_round(participants, plan, stealing)
+            unserved += orphaned
+            if lost:
+                failed.update(lost)
+                self.metrics.increment("engine_failures", len(lost))
+            if not unserved:
+                return batch, assignment, failed
+            left = sorted(set(unserved))
 
-        host_busy = [s.host_busy for s in servers]
-        device_busy = [s.device_busy for s in servers]
-        return reports, assignment, host_busy, device_busy, failed, None
+    def _round_in_process(self, servers, batch, participants, plan,
+                          stealing) -> tuple[list[int], list[int]]:
+        """Run one round on this process's engines.
 
-    # -- thread backend, work stealing ---------------------------------
-    def _dispatch_thread_stealing(
-        self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, tr, profile, timeline,
-    ):
-        if self.sharing:
-            items = grouped_steal_order(queries, graph=self.graph,
-                                        cache=self.cache)
-        else:
-            items = steal_order(queries, graph=self.graph,
-                                cache=self.cache)
-        queue = _StealQueue(items)
-        assignment: Assignment = [[] for _ in range(self.num_engines)]
-        reports: list[SystemReport | None] = [None] * len(queries)
-        failed = [False] * self.num_engines
-        servers = [
-            EngineServer(system, effective, batch_deadline_s,
-                         degraded_cycle_budget, profile,
-                         share=self.sharing)
-            for system in self.systems
-        ]
+        The engines serve in order on the calling thread or, under
+        ``use_threads``, one thread each.  ``plan`` is indexed by engine
+        for static schedulers and is the shared steal queue's chunks
+        under work stealing.  Returns the indices left unserved and the
+        engines that failed.
+        """
+        shared = deque(plan) if stealing else None
 
-        def steal_worker(engine_idx: int) -> None:
-            server = servers[engine_idx]
-            with tr.track(f"engine{engine_idx}"):
-                while True:
-                    item = queue.take()
-                    if item is None:
-                        return
-                    # Sharing steals whole source groups; the per-query
-                    # mode steals bare indices.
-                    members = item if isinstance(item, list) else [item]
-                    for pos, query_idx in enumerate(members):
-                        try:
-                            report, degraded = server.serve(
-                                queries[query_idx], tracer
-                            )
-                        except EngineFailure:
-                            failed[engine_idx] = True
-                            self.metrics.increment("engine_failures")
-                            rest = members[pos:]
-                            self.metrics.increment("requeued_queries",
-                                                   len(rest))
-                            queue.put_back(
-                                rest if isinstance(item, list) else rest[0]
-                            )
-                            return
-                        reports[query_idx] = report
-                        assignment[engine_idx].append(query_idx)
-                        t_end = server.host_busy + server.device_busy
-                        observe_report(self.metrics, report, engine_idx,
-                                       degraded=degraded,
-                                       timeline=timeline, t_end=t_end)
-                        # No queue-depth gauge here: the shared steal
-                        # queue's length depends on thread interleaving.
-                        if timeline is not None and server.last_result_hit:
-                            timeline.record(t_end, "result_hits")
+        def serve(e: int) -> list[int]:
+            source = _take_all(shared) if stealing else plan[e]
+            return servers[e].serve_all(e, source, batch.store,
+                                        batch.metrics, batch.tracer,
+                                        batch.timeline)
 
-        while len(queue):
-            active = [
-                e for e in range(self.num_engines) if not failed[e]
-            ]
-            if not active:
-                raise ServiceError(
-                    f"all {self.num_engines} engine(s) failed with "
-                    f"{len(queue)} of {len(queries)} queries unanswered"
-                )
-            if self.use_threads and len(active) > 1:
+        if self.use_threads and len(participants) > 1:
+            # The workers are CPU-bound Python holding the GIL, so
+            # frequent interpreter thread switches buy no overlap and
+            # cost cache/branch-predictor state on every handoff.  Serve
+            # with a long switch interval and restore it after.
+            switch_interval = sys.getswitchinterval()
+            sys.setswitchinterval(0.1)
+            try:
                 with ThreadPoolExecutor(
-                    max_workers=len(active),
+                    max_workers=len(participants),
                     thread_name_prefix="pefp-engine",
                 ) as pool:
-                    for future in [
-                        pool.submit(steal_worker, e) for e in active
-                    ]:
-                        future.result()
-            else:
-                for e in active:
-                    steal_worker(e)
-
-        host_busy = [s.host_busy for s in servers]
-        device_busy = [s.device_busy for s in servers]
-        return reports, assignment, host_busy, device_busy, failed, None
-
-    # -- process backend -----------------------------------------------
-    def _dispatch_process(
-        self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, tr, profile, timeline,
-    ):
-        from repro.service.parallel import ProcessEnginePool
-
-        if self._pool is None:
-            self._pool = ProcessEnginePool(
-                graph=self.graph,
-                variant=self.variant,
-                num_engines=self.num_engines,
-                cost_model=self.cost_model,
-                engine_kwargs=self.engine_kwargs,
-                failure_plan=self.failure_plan,
-                mp_context=self.mp_context,
-                sharing=self.sharing,
-            )
-        outcome = self._pool.run_batch(
-            queries,
-            scheduler=self.scheduler,
-            graph=self.graph,
-            cache=self.cache,
-            budget=effective,
-            batch_deadline_s=batch_deadline_s,
-            degraded_cycle_budget=degraded_cycle_budget,
-            profile=profile,
-            trace=bool(tr),
-            window_seconds=(
-                timeline.window_seconds if timeline is not None else None
-            ),
-            sketch_gamma=(
-                timeline.gamma if timeline is not None else None
-            ),
-        )
-        for registry in outcome.metric_registries:
-            self.metrics.merge(registry)
-        if timeline is not None:
-            # Worker shards arrive in (round, worker) order and merge
-            # exactly, so the combined timeline is byte-identical to the
-            # thread backend's (every merge here is commutative anyway;
-            # the sort just makes the iteration order self-evident).
-            for shard in outcome.timelines:
-                timeline.merge(shard)
-        if outcome.engine_failures:
-            self.metrics.increment("engine_failures",
-                                   outcome.engine_failures)
-        if outcome.requeued:
-            self.metrics.increment("requeued_queries", outcome.requeued)
-        # One ingest per worker round: each round's tracer numbered its
-        # spans from 1, so remapping them together would cross-wire
-        # parent links between workers.
-        for worker_round in outcome.trace_records:
-            tr.ingest(worker_round)
-        failed = [
-            e in outcome.failed_engines for e in range(self.num_engines)
-        ]
-        return (outcome.reports, outcome.assignment, outcome.host_busy,
-                outcome.device_busy, failed, outcome.worker_cache_stats)
-
-    def _observe(
-        self, report: SystemReport, engine_idx: int, degraded: bool = False
-    ) -> None:
-        observe_report(self.metrics, report, engine_idx, degraded=degraded)
+                    left = list(pool.map(serve, participants))
+            finally:
+                sys.setswitchinterval(switch_interval)
+        else:
+            left = [serve(e) for e in participants]
+        for e in participants:
+            batch.host_busy[e] = servers[e].host_busy
+            batch.device_busy[e] = servers[e].device_busy
+        unserved = [i for rest in left for i in rest]
+        if stealing:
+            # Chunks nobody took: every participant failed first.
+            unserved.extend(i for chunk in shared for i, _ in chunk)
+        return unserved, [e for e, rest in zip(participants, left) if rest]
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

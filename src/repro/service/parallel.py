@@ -1,39 +1,44 @@
 """Process-parallel serving backend: one engine per worker process.
 
-The thread backend in :mod:`repro.service.batch` is GIL-bound — its N
-engine workers overlap *modelled* device time but share one interpreter
-for the pure-Python host enumeration, so wall-clock throughput barely
-moves with N.  :class:`ProcessEnginePool` runs each engine in its own
-worker process instead:
+In-process rounds share one interpreter for the pure-Python host
+enumeration, so their N engines overlap *modelled* device time but not
+wall time.  :class:`ProcessEnginePool` runs each engine in its own
+worker process instead.  It holds no scheduling policy:
+:class:`~repro.service.batch.BatchQueryService` plans every round and
+requeues what a round left, and the pool only runs one round at a time
+(:meth:`ProcessEnginePool.round`):
 
 - **artifacts ship once** — the coordinator warms its
   :class:`~repro.service.cache.GraphArtifactCache` first, so the pickled
   :class:`~repro.graph.csr.CSRGraph` each worker receives carries the
   reverse-CSR memo; the worker-local cache *adopts* it (no rebuild, no
   spurious miss) and Pre-BFS memoisation then happens per worker;
-- **queries stream** — static schedulers ship each worker its task list
-  per round; ``work-stealing`` feeds one shared task queue that idle
-  workers pull from, closed by one sentinel per participant;
-- **everything marshals back** — answers (full
-  :class:`~repro.host.system.SystemReport` objects, device profiles
-  included) stream per query; per-round worker metrics registries, trace
-  span records, busy times and cache stats ride on a final ``round_done``
-  message and are merged on the coordinator.
+- **one serve loop** — each worker runs the same
+  :meth:`~repro.service.batch.EngineServer.serve_all` loop as the
+  in-process rounds, over its own task list (static schedulers) or over
+  chunks pulled from one shared task queue (work stealing, closed by one
+  sentinel per participant);
+- **everything marshals back** over each worker's own result pipe —
+  answers (full :class:`~repro.host.system.SystemReport` objects, device
+  profiles included) stream per query; per-round worker metrics
+  registries, trace span records, timelines, busy times and cache-stat
+  deltas ride on a final ``round_done`` message and are merged on the
+  coordinator in worker order.
 
-Fault tolerance mirrors the thread backend: a worker whose engine raises
-:class:`~repro.errors.EngineFailure` reports its unserved queries and is
-retired for the batch (the process stays up for the next batch — a
+A worker whose engine raises :class:`~repro.errors.EngineFailure`
+reports its unserved queries and the service retires it for the batch
+(the process stays up for the next batch — a
 :class:`~repro.service.batch.FlakyEngine` keeps its run count across
-batches, exactly like the thread backend's engines).  A worker *process*
-that dies outright is detected by liveness polling, permanently removed
-from the pool, and its unserved queries are requeued onto the survivors;
-with no survivors the batch raises
-:class:`~repro.errors.ServiceError`.
+batches, like the in-process engines).  A worker *process* that dies
+outright is detected by end-of-file on its pipe or by liveness polling,
+permanently removed from the pool, and everything it was given but
+never answered is reported unserved, so the service requeues it onto
+the survivors.
 
-Every per-query decision (budget tightening, batch-deadline degradation)
-runs through the same :class:`~repro.service.batch.EngineServer` the
-thread backend uses, which is why the differential test suite can demand
-identical answers, counts and modelled device cycles from both backends.
+Measured on a 2-core host (warm services, ``rt`` at k=4, 64 queries,
+2 engines): the process backend is 1.2-1.5x faster than serial on
+dense batches, but no faster, often slower, on small sparse batches,
+where shipping answers costs as much as the work.
 """
 
 from __future__ import annotations
@@ -41,72 +46,27 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import traceback
-from collections import Counter
-from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
-from repro.errors import EngineFailure, ServiceError
 from repro.service.cache import GraphArtifactCache
 from repro.service.metrics import MetricsRegistry, MetricsTimeline
-from repro.service.scheduler import (
-    SCHEDULERS,
-    WORK_STEALING,
-    Assignment,
-    group_by_source,
-    grouped_assignment,
-    grouped_steal_order,
-    requeue,
-    requeue_groups,
-    steal_order,
-)
 
-#: seconds the coordinator blocks on the result queue before polling
+#: seconds the coordinator blocks on the result pipes before polling
 #: worker liveness; also the workers' task-queue poll while stealing.
 POLL_INTERVAL = 0.2
 
-#: cache-stat keys folded into the service metrics.
-_CACHE_KEYS = ("reverse_hits", "reverse_misses",
-               "prebfs_hits", "prebfs_misses",
-               "forward_hits", "forward_misses",
-               "result_hits", "result_misses",
-               "build_failures", "prebfs_entries",
-               "forward_entries", "result_entries")
 
-
-@dataclass
-class BatchOutcome:
-    """Everything one batch produced, as seen by the coordinator."""
-
-    reports: list
-    assignment: Assignment
-    host_busy: list[float]
-    device_busy: list[float]
-    #: engines retired this batch (EngineFailure or process death).
-    failed_engines: list[int]
-    engine_failures: int
-    requeued: int
-    #: per-round worker registries, in deterministic (round, worker) order.
-    metric_registries: list[MetricsRegistry]
-    #: per-(round, worker) span-record lists, same order.  Kept separate —
-    #: every worker round numbers its spans from 1, so each list must be
-    #: ingested on its own for parent links to remap without colliding.
-    trace_records: list[list]
-    #: summed per-run cache-stat deltas of every worker-local cache.
-    worker_cache_stats: dict[str, int] = field(default_factory=dict)
-    #: per-(round, worker) telemetry timelines, same deterministic order
-    #: as ``metric_registries`` (only populated when the batch ran with
-    #: windowed telemetry on).
-    timelines: list[MetricsTimeline] = field(default_factory=list)
-
-
-def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
+def _worker_main(worker_idx, spec, fail_after, cmd_queue, results,
                  task_queue):
     """Engine worker loop: build once, then serve rounds until shutdown."""
-    # Imported here (not at module top) only for clarity of what the
-    # worker side actually needs; repro.service.batch imports this module
-    # lazily, so there is no cycle either way.
+    # Imported here, not at module top: repro.service.batch imports this
+    # module lazily, and the worker side needs only these names.
     from repro.host.system import PathEnumerationSystem
-    from repro.observability.tracer import NULL_TRACER, Tracer
-    from repro.service.batch import EngineServer, FlakyEngine, observe_report
+    from repro.observability.tracer import Tracer
+    from repro.service.batch import EngineServer, FlakyEngine
+
+    def deliver(engine_idx, idx, report):
+        results.send(("result", engine_idx, idx, report))
 
     try:
         graph = spec["graph"]
@@ -126,9 +86,7 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
             system.engine = FlakyEngine(system.engine, fail_after=fail_after)
 
         server = None
-        trace = False
-        window_seconds = None
-        sketch_gamma = None
+        opts = {}
         while True:
             cmd = cmd_queue.get()
             kind = cmd[0]
@@ -145,93 +103,23 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                     opts["degraded_cycle_budget"], opts["profile"],
                     share=sharing,
                 )
-                trace = opts["trace"]
-                window_seconds = opts.get("window_seconds")
-                sketch_gamma = opts.get("sketch_gamma")
                 continue
 
-            # kind is "serve" (a task list) or "steal" (pull from the
-            # shared queue until a sentinel or an abort).
+            # kind is "serve" (a task list) or "steal" (pull chunks from
+            # the shared queue until a sentinel or an abort).
             metrics = MetricsRegistry()
-            tracer = Tracer() if trace else None
-            tr = tracer or NULL_TRACER
+            tracer = Tracer() if opts["trace"] else None
             timeline = None
-            if window_seconds is not None:
-                timeline = MetricsTimeline(
-                    window_seconds,
-                    **({"gamma": sketch_gamma} if sketch_gamma else {}),
-                )
+            if opts["window_seconds"] is not None:
+                timeline = MetricsTimeline(opts["window_seconds"],
+                                           gamma=opts["sketch_gamma"])
+            source = (cmd[1] if kind == "serve"
+                      else _stolen_chunks(task_queue, cmd_queue))
             stats_before = cache.stats()
-            unserved: list[int] = []
-            failed_now = False
-            with tr.track(f"engine{worker_idx}"):
-                if kind == "serve":
-                    tasks = cmd[1]
-                    for pos, (idx, query) in enumerate(tasks):
-                        try:
-                            report, degraded = server.serve(query, tracer)
-                        except EngineFailure:
-                            failed_now = True
-                            unserved = [i for i, _ in tasks[pos:]]
-                            break
-                        result_queue.put(
-                            ("result", worker_idx, idx, report, degraded)
-                        )
-                        t_end = server.host_busy + server.device_busy
-                        observe_report(metrics, report, worker_idx,
-                                       degraded=degraded,
-                                       timeline=timeline, t_end=t_end)
-                        # Identical emission to the thread backend's
-                        # static dispatcher, so the merged timelines are
-                        # byte-for-byte the same.
-                        if timeline is not None:
-                            if server.last_result_hit:
-                                timeline.record(t_end, "result_hits")
-                            timeline.set_gauge(
-                                t_end,
-                                f"engine{worker_idx}/queue_depth",
-                                len(tasks) - pos - 1,
-                            )
-                else:
-                    while True:
-                        try:
-                            task = task_queue.get(timeout=POLL_INTERVAL)
-                        except queue_mod.Empty:
-                            if _pending_abort(cmd_queue):
-                                break
-                            continue
-                        if task is None:  # sentinel: round over
-                            break
-                        # Sharing mode steals a whole source group (a
-                        # list of tasks); per-query mode steals one task.
-                        members = task if isinstance(task, list) else [task]
-                        for pos, (idx, query) in enumerate(members):
-                            try:
-                                report, degraded = server.serve(
-                                    query, tracer
-                                )
-                            except EngineFailure:
-                                failed_now = True
-                                unserved = [i for i, _ in members[pos:]]
-                                break
-                            result_queue.put(
-                                ("result", worker_idx, idx, report,
-                                 degraded)
-                            )
-                            t_end = server.host_busy + server.device_busy
-                            observe_report(metrics, report, worker_idx,
-                                           degraded=degraded,
-                                           timeline=timeline, t_end=t_end)
-                            # No queue-depth gauge while stealing — the
-                            # shared queue's length is racy by design.
-                            if (timeline is not None
-                                    and server.last_result_hit):
-                                timeline.record(t_end, "result_hits")
-                        if failed_now:
-                            break
+            unserved = server.serve_all(worker_idx, source, deliver,
+                                        metrics, tracer, timeline)
             stats_after = cache.stats()
-            result_queue.put(("round_done", worker_idx, {
-                "failed": failed_now,
+            results.send(("round_done", worker_idx, {
                 "unserved": unserved,
                 "host_busy": server.host_busy,
                 "device_busy": server.device_busy,
@@ -239,8 +127,8 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                 "trace": tracer.records() if tracer else [],
                 "timeline": timeline,
                 "cache_delta": {
-                    key: stats_after.get(key, 0) - stats_before.get(key, 0)
-                    for key in _CACHE_KEYS
+                    key: value - stats_before[key]
+                    for key, value in stats_after.items()
                 },
             }))
     except (KeyboardInterrupt, SystemExit):
@@ -250,12 +138,24 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
         # before exiting so the failure is diagnosable, not just a dead
         # process.
         try:
-            result_queue.put(
-                ("fatal", worker_idx, traceback.format_exc())
-            )
+            results.send(("fatal", worker_idx, traceback.format_exc()))
         except Exception:
             pass
         raise
+
+
+def _stolen_chunks(task_queue, cmd_queue):
+    """Chunks pulled from the shared task queue until a sentinel/abort."""
+    while True:
+        try:
+            chunk = task_queue.get(timeout=POLL_INTERVAL)
+        except queue_mod.Empty:
+            if _pending_abort(cmd_queue):
+                return
+            continue
+        if chunk is None:  # sentinel: round over
+            return
+        yield chunk
 
 
 def _pending_abort(cmd_queue) -> bool:
@@ -272,11 +172,11 @@ def _pending_abort(cmd_queue) -> bool:
 
 
 class ProcessEnginePool:
-    """Persistent pool of engine worker processes serving query batches.
+    """Persistent pool of engine worker processes, run one round at a time.
 
-    Workers start lazily on the first :meth:`run_batch` and persist
+    Workers start lazily on the first :meth:`start_batch` and persist
     across batches (so fault-injection state and worker caches carry
-    over, matching the thread backend's persistent engines).  Call
+    over, matching the in-process backend's persistent engines).  Call
     :meth:`close` (or use the owning service as a context manager) to
     shut the processes down.
     """
@@ -300,8 +200,6 @@ class ProcessEnginePool:
         self._tasks = None
         #: workers whose *process* died; never used again.
         self._crashed: set[int] = set()
-        #: crashes noticed during the round in flight.
-        self._round_crashes: set[int] = set()
         self._fatal_tracebacks: dict[int, str] = {}
 
     # -- lifecycle -----------------------------------------------------
@@ -309,7 +207,6 @@ class ProcessEnginePool:
         if self._procs is not None:
             return
         ctx = multiprocessing.get_context(self.mp_context)
-        self._results = ctx.Queue()
         self._tasks = ctx.Queue()
         self._cmd = [ctx.Queue() for _ in range(self.num_engines)]
         fail_after = dict(self.failure_plan)
@@ -321,16 +218,26 @@ class ProcessEnginePool:
             "sharing": self.sharing,
         }
         self._procs = []
+        self._results = []
         for w in range(self.num_engines):
+            # One result pipe per worker, not one shared queue: a worker
+            # killed mid-send can hold a shared queue's write lock and
+            # block every other worker's answers forever.  Created just
+            # before this worker starts, its write end is held by this
+            # worker alone once closed here, so the worker's death reads
+            # as end-of-file.
+            reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(w, spec, fail_after.get(w), self._cmd[w],
-                      self._results, self._tasks),
+                args=(w, spec, fail_after.get(w), self._cmd[w], writer,
+                      self._tasks),
                 name=f"pefp-engine-{w}",
                 daemon=True,
             )
             proc.start()
+            writer.close()
             self._procs.append(proc)
+            self._results.append(reader)
 
     def close(self) -> None:
         """Shut every worker down and reap the processes."""
@@ -348,12 +255,14 @@ class ProcessEnginePool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for q in (self._results, self._tasks, *self._cmd):
+        for q in (self._tasks, *self._cmd):
             try:
                 q.close()
                 q.cancel_join_thread()
             except Exception:
                 pass
+        for conn in self._results:
+            conn.close()
         self._procs = None
         self._cmd = None
         self._results = None
@@ -365,242 +274,123 @@ class ProcessEnginePool:
         except Exception:
             pass
 
-    # -- batch serving -------------------------------------------------
-    def run_batch(self, queries, scheduler, graph, budget,
-                  batch_deadline_s, degraded_cycle_budget, profile,
-                  trace, cache=None, window_seconds=None,
-                  sketch_gamma=None) -> BatchOutcome:
-        """Serve one batch over the worker pool; see the module docstring.
+    # -- rounds --------------------------------------------------------
+    def start_batch(self, budget, batch_deadline_s, degraded_cycle_budget,
+                    profile, trace, timeline) -> set[int]:
+        """Hand every live worker the batch's serving options.
 
-        ``window_seconds`` (with optional ``sketch_gamma``) turns on
-        windowed telemetry: each worker accumulates a per-round
-        :class:`~repro.service.metrics.MetricsTimeline` shipped back on
-        ``round_done`` and surfaced as ``BatchOutcome.timelines`` in
-        deterministic (round, worker) order.
+        Starts the workers on first use.  Returns the engines whose
+        process died in an earlier batch; they serve nothing.
         """
         self._ensure_started()
-        live = [w for w in range(self.num_engines)
-                if w not in self._crashed]
-        if not live:
-            raise ServiceError(
-                f"all {self.num_engines} engine worker process(es) have "
-                f"died; cannot serve the batch"
-            )
-        for w in live:
-            self._cmd[w].put(("batch", {
-                "budget": budget,
-                "batch_deadline_s": batch_deadline_s,
-                "degraded_cycle_budget": degraded_cycle_budget,
-                "profile": profile,
-                "trace": trace,
-                "window_seconds": window_seconds,
-                "sketch_gamma": sketch_gamma,
-            }))
+        opts = {
+            "budget": budget,
+            "batch_deadline_s": batch_deadline_s,
+            "degraded_cycle_budget": degraded_cycle_budget,
+            "profile": profile,
+            "trace": trace,
+            "window_seconds": (
+                timeline.window_seconds if timeline is not None else None
+            ),
+            "sketch_gamma": timeline.gamma if timeline is not None else None,
+        }
+        for w in range(self.num_engines):
+            if w not in self._crashed:
+                self._cmd[w].put(("batch", opts))
+        return set(self._crashed)
 
-        state = _BatchState(len(queries), self.num_engines)
-        if scheduler == WORK_STEALING:
-            assignment = self._run_stealing(queries, graph, live, state,
-                                            cache=cache)
-        else:
-            assignment = self._run_static(queries, scheduler, graph, live,
-                                          state, cache=cache)
+    def round(self, participants, plan, stealing, batch):
+        """Run one round of the service's plan; see the module docstring.
 
-        missing = [i for i, r in enumerate(state.reports) if r is None]
-        if missing:
-            raise ServiceError(
-                f"engine worker processes lost {len(missing)} of "
-                f"{len(queries)} queries"
-            )
-        return BatchOutcome(
-            reports=state.reports,
-            assignment=assignment,
-            host_busy=state.host_busy,
-            device_busy=state.device_busy,
-            failed_engines=sorted(state.failed | self._crashed),
-            engine_failures=state.engine_failures,
-            requeued=state.requeued,
-            metric_registries=state.metric_registries,
-            trace_records=state.trace_records,
-            worker_cache_stats=dict(state.cache_totals),
-            timelines=state.timelines,
-        )
-
-    def _run_static(self, queries, scheduler, graph, live, state,
-                    cache=None):
-        if self.sharing:
-            assignment = grouped_assignment(
-                scheduler, queries, self.num_engines, graph=graph,
-                cache=cache,
-            )
-        else:
-            assignment = SCHEDULERS[scheduler](
-                queries, self.num_engines, graph=graph, cache=cache
-            )
-        work = [list(part) for part in assignment]
-        while True:
-            participants = [
-                w for w in live
-                if w not in state.failed and w not in self._crashed
-                and work[w]
-            ]
-            unserved = self._round(
-                "serve", participants, state,
-                tasks_of=lambda w: [(i, queries[i]) for i in work[w]],
-                round_indices={w: list(work[w]) for w in participants},
-            )
-            if not unserved:
-                return assignment
-            survivors = [
-                w for w in range(self.num_engines)
-                if w not in state.failed and w not in self._crashed
-            ]
-            if not survivors:
-                raise self._no_survivors(len(unserved), len(queries))
-            unserved = sorted(set(unserved))
-            state.requeued += len(unserved)
-            if self.sharing:
-                work = requeue_groups(queries, unserved,
-                                      self.num_engines, survivors)
-            else:
-                work = requeue(unserved, self.num_engines, survivors)
-
-    def _run_stealing(self, queries, graph, live, state, cache=None):
-        # ``pending`` holds whole source groups under sharing (stolen as
-        # one unit) and singleton groups otherwise — the wire format for
-        # singletons stays a bare (idx, query) tuple.
-        if self.sharing:
-            pending = grouped_steal_order(queries, graph=graph, cache=cache)
-        else:
-            pending = [[i] for i in steal_order(queries, graph=graph,
-                                                cache=cache)]
-        first = True
-        while pending:
-            participants = [
-                w for w in live
-                if w not in state.failed and w not in self._crashed
-            ]
-            flat = [i for group in pending for i in group]
-            if not participants:
-                raise self._no_survivors(len(flat), len(queries))
-            if not first:
-                state.requeued += len(flat)
-            for group in pending:
-                if self.sharing:
-                    self._tasks.put([(i, queries[i]) for i in group])
-                else:
-                    self._tasks.put((group[0], queries[group[0]]))
+        ``plan`` is indexed by worker for static schedulers and is the
+        list of chunks to put on the shared task queue under work
+        stealing.  Answers, busy times, worker registries, trace records,
+        timeline shards and cache deltas land on ``batch`` (a
+        :class:`~repro.service.batch._Batch`), folded in worker order so
+        merges and span ids are deterministic.  Returns the indices left
+        unserved and the workers lost this round (engine failure or
+        process death).
+        """
+        if stealing:
+            for chunk in plan:
+                self._tasks.put(chunk)
             for _ in participants:
                 self._tasks.put(None)
-            unserved = self._round(
-                "steal", participants, state,
-                round_indices={None: flat},
-            )
-            first = False
-            unserved = sorted(set(unserved))
-            if self.sharing:
-                groups = group_by_source([queries[i] for i in unserved])
-                pending = [
-                    [unserved[j] for j in members] for members in groups
-                ]
-            else:
-                pending = [[i] for i in unserved]
-        return state.as_served_assignment()
-
-    def _round(self, kind, participants, state, tasks_of=None,
-               round_indices=None):
-        """Run one serving round and return the batch indices left unserved.
-
-        ``round_indices`` maps a worker to the indices it was told to
-        serve (static rounds) or ``None`` to the whole round's indices
-        (stealing rounds, where any live worker may serve any index).
-        """
         for w in participants:
-            if kind == "serve":
-                self._cmd[w].put(("serve", tasks_of(w)))
-            else:
-                self._cmd[w].put(("steal",))
+            self._cmd[w].put(("steal",) if stealing else ("serve", plan[w]))
         pending = set(participants)
         streamed: dict[int, set[int]] = {w: set() for w in participants}
-        round_served: set[int] = set()
-        unserved: list[int] = []
+        crashed: set[int] = set()
         done_payloads: list[tuple[int, dict]] = []
         aborted = False
         while pending:
-            try:
-                msg = self._results.get(timeout=self.poll_interval)
-            except queue_mod.Empty:
-                dead = [w for w in pending
-                        if not self._procs[w].is_alive()]
-                for w in dead:
+            ready = wait([self._results[w] for w in pending],
+                         timeout=self.poll_interval)
+            if not ready:
+                for w in [w for w in pending
+                          if not self._procs[w].is_alive()]:
                     pending.discard(w)
-                    self._mark_crashed(w, state)
-                if dead and kind == "steal" and not aborted:
-                    aborted = True
-                    for w in pending:
-                        self._cmd[w].put(("abort",))
-                continue
-            tag = msg[0]
-            if tag == "result":
-                _, w, idx, report, _degraded = msg
-                state.reports[idx] = report
-                state.served_by[w].append(idx)
-                if w in streamed:
-                    streamed[w].add(idx)
-                round_served.add(idx)
-            elif tag == "round_done":
-                _, w, payload = msg
+                    self._mark_crashed(w, crashed)
+            for conn in ready:
+                w = self._results.index(conn)
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):  # the worker died
+                    pending.discard(w)
+                    self._mark_crashed(w, crashed)
+                    continue
+                if msg[0] == "result":
+                    batch.store(w, msg[2], msg[3])
+                    streamed[w].add(msg[2])
+                    continue
                 pending.discard(w)
-                done_payloads.append((w, payload))
-            elif tag == "fatal":
-                _, w, tb = msg
-                self._fatal_tracebacks[w] = tb
-                pending.discard(w)
-                self._mark_crashed(w, state)
-                if kind == "steal" and not aborted:
-                    aborted = True
-                    for v in pending:
-                        self._cmd[v].put(("abort",))
+                if msg[0] == "round_done":
+                    done_payloads.append((w, msg[2]))
+                else:  # "fatal"
+                    self._fatal_tracebacks[w] = msg[2]
+                    self._mark_crashed(w, crashed)
+            if crashed and stealing and not aborted:
+                # Which chunks a dead stealer had taken is unknown, so
+                # the round stops and reports everything unanswered.
+                aborted = True
+                for v in pending:
+                    self._cmd[v].put(("abort",))
 
-        # Fold worker payloads in worker order, so metric-merge and trace
-        # order are deterministic regardless of message interleaving.
+        lost = set(crashed)
+        unserved: list[int] = []
         for w, payload in sorted(done_payloads, key=lambda t: t[0]):
-            state.host_busy[w] = payload["host_busy"]
-            state.device_busy[w] = payload["device_busy"]
-            state.metric_registries.append(payload["metrics"])
+            batch.host_busy[w] = payload["host_busy"]
+            batch.device_busy[w] = payload["device_busy"]
+            batch.metrics.merge(payload["metrics"])
+            # One ingest per worker round: each round's tracer numbers
+            # its spans from 1, so ingesting rounds together would
+            # cross-wire parent links between workers.
             if payload["trace"]:
-                state.trace_records.append(payload["trace"])
-            if payload.get("timeline") is not None:
-                state.timelines.append(payload["timeline"])
-            state.cache_totals.update(payload["cache_delta"])
-            if payload["failed"]:
-                state.failed.add(w)
-                state.engine_failures += 1
+                batch.tracer.ingest(payload["trace"])
+            if payload["timeline"] is not None:
+                batch.timeline.merge(payload["timeline"])
+            batch.worker_stats.update(payload["cache_delta"])
+            if payload["unserved"]:
+                lost.add(w)
                 unserved.extend(payload["unserved"])
 
-        if kind == "serve":
-            # A crashed worker streamed some answers before dying; what
-            # it was assigned but never streamed must be requeued.
-            for w, indices in round_indices.items():
-                if w in self._round_crashes:
-                    unserved.extend(
-                        i for i in indices if i not in streamed.get(w, ())
-                    )
-        else:
-            if aborted or unserved or self._round_crashes:
+        if stealing:
+            if aborted or unserved:
                 self._drain_tasks()
-                unserved = [
-                    i for i in round_indices[None] if i not in round_served
-                ]
-        self._round_crashes.clear()
-        return unserved
+                served = set().union(*streamed.values())
+                unserved = [i for chunk in plan for i, _ in chunk
+                            if i not in served]
+        else:
+            # A crashed worker streamed some answers before dying; what
+            # it was given but never streamed is unserved.
+            for w in crashed:
+                unserved.extend(i for i, _ in plan[w]
+                                if i not in streamed[w])
+        return unserved, sorted(lost)
 
-    def _mark_crashed(self, w: int, state) -> None:
-        if w in self._crashed:
-            return
+    def _mark_crashed(self, w: int, crashed: set[int]) -> None:
         self._crashed.add(w)
-        state.failed.add(w)
-        state.engine_failures += 1
-        self._round_crashes.add(w)
+        crashed.add(w)
 
     def _drain_tasks(self) -> None:
         """Empty the shared task queue (leftover tasks and sentinels)."""
@@ -610,37 +400,9 @@ class ProcessEnginePool:
             except queue_mod.Empty:
                 return
 
-    def _no_survivors(self, unanswered: int, total: int) -> ServiceError:
-        detail = ""
-        if self._fatal_tracebacks:
-            first = next(iter(self._fatal_tracebacks.values()))
-            detail = f"; first worker traceback:\n{first}"
-        return ServiceError(
-            f"all {self.num_engines} engine(s) failed with "
-            f"{unanswered} of {total} queries unanswered{detail}"
-        )
-
-
-class _BatchState:
-    """Mutable per-batch bookkeeping shared across rounds."""
-
-    __slots__ = ("reports", "host_busy", "device_busy", "failed",
-                 "engine_failures", "requeued", "metric_registries",
-                 "trace_records", "timelines", "cache_totals", "served_by")
-
-    def __init__(self, num_queries: int, num_engines: int) -> None:
-        self.reports = [None] * num_queries
-        self.host_busy = [0.0] * num_engines
-        self.device_busy = [0.0] * num_engines
-        self.failed: set[int] = set()
-        self.engine_failures = 0
-        self.requeued = 0
-        self.metric_registries: list[MetricsRegistry] = []
-        self.trace_records: list[list] = []
-        self.timelines: list[MetricsTimeline] = []
-        self.cache_totals: Counter = Counter()
-        self.served_by: list[list[int]] = [[] for _ in range(num_engines)]
-
-    def as_served_assignment(self) -> Assignment:
-        """Post-hoc assignment for work stealing: who served what."""
-        return [list(indices) for indices in self.served_by]
+    def failure_detail(self) -> str:
+        """The first fatal worker traceback, for a no-survivors error."""
+        if not self._fatal_tracebacks:
+            return ""
+        first = next(iter(self._fatal_tracebacks.values()))
+        return f"; first worker traceback:\n{first}"

@@ -140,3 +140,75 @@ def test_path_output_bytes_is_canonical():
     assert json.dumps(
         payload, separators=(",", ":"), sort_keys=True
     ).encode() == report.path_output_bytes()
+
+
+#: the three dispatch backends every scheduler must serve identically.
+BACKEND_KWARGS = {
+    "serial": {"backend": "thread", "use_threads": False},
+    "thread": {"backend": "thread", "use_threads": True},
+    "process": {"backend": "process"},
+}
+
+
+def _serve_report(graph, queries, timeline=None, **kwargs):
+    service = BatchQueryService(graph, num_engines=3, **kwargs)
+    try:
+        return service.run(queries, timeline=timeline)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("sharing", [False, True])
+@pytest.mark.parametrize("scheduler", ["round-robin", "longest-first"])
+def test_static_dispatch_parity_under_seeded_faults(scheduler, sharing):
+    """Static schedulers plan, fail and requeue identically on every
+    backend: the same engine dies after the same run count, so the
+    failure and requeue counts and the planned assignment match."""
+    graph, queries = make_batch()
+    seen = {}
+    for name, kwargs in BACKEND_KWARGS.items():
+        report = _serve_report(
+            graph, queries, scheduler=scheduler, sharing=sharing,
+            inject_failures=1, failure_seed=1234, **kwargs,
+        )
+        seen[name] = (report.engine_failures, report.requeued_queries,
+                      report.failed_engines, report.assignment)
+    assert seen["serial"] == seen["thread"] == seen["process"]
+    assert seen["serial"][0] == 1
+
+
+@pytest.mark.parametrize("sharing", [False, True])
+@pytest.mark.parametrize("scheduler", ["round-robin", "longest-first"])
+def test_static_dispatch_parity_of_telemetry(scheduler, sharing):
+    """Without faults every backend emits byte-identical telemetry,
+    counters and per-engine modelled busy seconds."""
+    from repro.service.metrics import MetricsTimeline
+
+    graph, queries = make_batch()
+    seen = {}
+    for name, kwargs in BACKEND_KWARGS.items():
+        timeline = MetricsTimeline()
+        report = _serve_report(graph, queries, timeline=timeline,
+                               scheduler=scheduler, sharing=sharing,
+                               **kwargs)
+        seen[name] = (timeline.canonical_bytes(),
+                      report.metrics.snapshot()["counters"],
+                      report.engine_host_seconds,
+                      report.engine_device_seconds)
+    assert seen["serial"] == seen["thread"] == seen["process"]
+
+
+@pytest.mark.parametrize("sharing", [False, True])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_work_stealing_failure_counts_are_consistent(backend, sharing):
+    """Under stealing, whether the victim engine gets any work depends
+    on interleaving, so counts are not compared across backends; each
+    run must still count one failure per retired engine and requeue
+    work exactly when an engine failed."""
+    graph, queries = make_batch()
+    report = _serve_report(
+        graph, queries, scheduler="work-stealing", sharing=sharing,
+        inject_failures=1, failure_seed=1234, backend=backend,
+    )
+    assert report.engine_failures == len(report.failed_engines)
+    assert (report.requeued_queries == 0) == (report.engine_failures == 0)

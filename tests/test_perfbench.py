@@ -299,6 +299,27 @@ class TestScenarios:
                 assert metric.spread == 0.0, metric.name
         assert stats.metrics["wall_seconds"].metric_class == CLASS_WALL
 
+    def test_experiment_scenario_recomputes_every_build(self, monkeypatch):
+        """Every repetition of an exp.* scenario runs the experiment; none
+        times a lookup in the comparison memo."""
+        from repro.reporting import experiments as E
+
+        calls = []
+        original = E.time_system
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(E, "time_system", counted)
+        build = SCENARIOS["exp.fig8.rt"].build
+        first = build(7)
+        per_build = len(calls)
+        second = build(7)
+        assert per_build > 0
+        assert len(calls) == 2 * per_build
+        assert first.keys() == second.keys()
+
     def test_engine_profile_funnel_accounts_exactly(self):
         stats = run_scenario("engine.profile.rt", runs=1).metrics
         expansions = stats["funnel/expansions"].median

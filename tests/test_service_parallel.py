@@ -246,6 +246,31 @@ class TestPoolLifecycle:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("scheduler",
+                             ["round-robin", "work-stealing"])
+    def test_batches_after_a_worker_death_are_served(self, scheduler):
+        """A dead worker stays retired: later batches plan around it and
+        requeue the share a static scheduler still gives it."""
+        graph, queries = make_batch(count=8)
+        service = BatchQueryService(graph, num_engines=2,
+                                    backend="process", scheduler=scheduler)
+        try:
+            baseline = service.run(queries).path_output_bytes()
+            victim = service._pool._procs[0]
+            victim.terminate()
+            victim.join(timeout=5)
+            service.run(queries)
+            failures = service.metrics.counter("engine_failures")
+            report = service.run(queries)
+            assert report.path_output_bytes() == baseline
+            assert report.failed_engines == [0]
+            # The retired worker is not counted as failing again.
+            assert report.engine_failures == failures
+            if scheduler == "work-stealing":
+                assert report.assignment[0] == []
+        finally:
+            service.close()
+
     def test_tracer_spans_cross_the_process_boundary(self):
         graph, queries = make_batch(count=6)
         tracer = Tracer()
