@@ -16,7 +16,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.graph import generators as G
 from repro.host.query import Query
-from repro.service import BatchQueryService
+from repro.service import BatchQueryService, MetricsTimeline
 
 
 def make_batch(seed=4, count=12):
@@ -182,8 +182,6 @@ def test_static_dispatch_parity_under_seeded_faults(scheduler, sharing):
 def test_static_dispatch_parity_of_telemetry(scheduler, sharing):
     """Without faults every backend emits byte-identical telemetry,
     counters and per-engine modelled busy seconds."""
-    from repro.service.metrics import MetricsTimeline
-
     graph, queries = make_batch()
     seen = {}
     for name, kwargs in BACKEND_KWARGS.items():
