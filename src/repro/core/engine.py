@@ -182,6 +182,9 @@ class PEFPEngine:
         self.config = config or PEFPConfig()
         self.device_config = device_config or DeviceConfig()
         self.pipeline = pipeline or PipelineModel()
+        #: BRAM wide-access cycles per word count (indices 0..Θ2), per
+        #: ``(port_words, Θ2)``; shared read-only by every PE and run.
+        self._ceil_tabs: dict[tuple[int, int], list[int]] = {}
 
     def run(
         self,
@@ -278,9 +281,10 @@ class PEFPEngine:
         rl1 = rl - 1
         wl1 = wl - 1
         ceil_rec = -(-rec_w // pw)
-        #: BRAM wide-access cycles per word count (indices 0..Θ2).
-        ceil_tab = [-(-n // pw) for n in range(theta2 + 1)]
-        ceil_tab[0] = 0
+        ceil_tab = self._ceil_tabs.get((pw, theta2))
+        if ceil_tab is None:
+            ceil_tab = [-(-n // pw) for n in range(theta2 + 1)]
+            self._ceil_tabs[(pw, theta2)] = ceil_tab
         #: verification-pipeline latency per batch size (indices 0..Θ2),
         #: filled on first use: a short run touches only a few sizes.
         verify_tab = [-1] * (theta2 + 1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import VertexNotFoundError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, sorted_unique
 from repro.host.cost_model import OpCounter
 
 
@@ -38,7 +38,14 @@ def _level_synchronous_bfs(
     max_hops: int,
     counter: OpCounter | None,
 ) -> np.ndarray:
-    """Expand ``frontier`` (all at distance 0) level by level.
+    """Expand ``frontier`` (all at distance 0, sorted, distinct) level by
+    level, for ``max_hops >= 1`` levels.
+
+    Each level is one array pass: :meth:`CSRGraph.gather` lays out the
+    frontier's successor lists, the unvisited ones take the next
+    distance, and :func:`~repro.graph.csr.sorted_unique` turns them into
+    the next sorted, distinct frontier.  The last level's discoveries are
+    written to ``dist`` but never expanded, so they are not deduplicated.
 
     Charges the *same totals* a FIFO-queue BFS would: one ``vertex_visit``
     per vertex that ever enters the queue (= every reached vertex — those
@@ -49,30 +56,19 @@ def _level_synchronous_bfs(
     per-level ``add`` is exact.  Level-synchronous expansion from a fixed
     distance-0 seed set yields the identical ``dist`` array as FIFO order.
     """
-    indptr = graph.indptr
-    indices = graph.indices
     relaxed_edges = 0
-    for level in range(max_hops):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        relaxed_edges += total
-        if total == 0:
-            break
-        # Gather the concatenated adjacency of the frontier: for each
-        # frontier vertex u, the slice indices[starts[u] : starts[u]+deg(u)].
-        cum = np.cumsum(counts) - counts
-        flat = (np.repeat(starts - cum, counts)
-                + np.arange(total, dtype=indptr.dtype))
-        nbrs = indices[flat]
+    for level in range(1, max_hops + 1):
+        nbrs, _ = graph.gather(frontier)
+        relaxed_edges += nbrs.size
         fresh = nbrs[dist[nbrs] < 0]
         if fresh.size == 0:
             break
         # Duplicate discoveries in one level all write the same distance.
-        dist[fresh] = level + 1
-        frontier = np.unique(fresh)
+        dist[fresh] = level
+        if level < max_hops:
+            frontier = sorted_unique(fresh)
     if counter is not None:
-        counter.add("vertex_visit", int((dist >= 0).sum()))
+        counter.add("vertex_visit", int(np.count_nonzero(dist >= 0)))
         counter.add("bfs_relax", relaxed_edges)
     return dist
 
@@ -115,12 +111,12 @@ def multi_source_k_hop_bfs(
     """
     n = graph.num_vertices
     dist = np.full(n, -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    for src in frontier:
-        s = int(src)
-        if not 0 <= s < n:
-            raise VertexNotFoundError(s, n)
-        dist[s] = 0
+    frontier = sorted_unique(np.array(sources, dtype=np.int64).ravel())
+    if frontier.size and (frontier[0] < 0 or frontier[-1] >= n):
+        # Name the first out-of-range id in ascending order.
+        bad = frontier[0] if frontier[0] < 0 else frontier[frontier >= n][0]
+        raise VertexNotFoundError(int(bad), n)
+    dist[frontier] = 0
     if frontier.size == 0:
         return dist
     if max_hops <= 0:

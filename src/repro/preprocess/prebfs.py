@@ -92,14 +92,14 @@ def pre_bfs(graph: CSRGraph, query: Query,
     # built (and charged) once per graph and reused by every later query.
     sd_t = k_hop_bfs(charged_reverse(graph, ops), t, k - 1, ops)
 
-    reachable = (sd_s >= 0) & (sd_t >= 0)
-    within = np.zeros(graph.num_vertices, dtype=bool)
-    within[reachable] = sd_s[reachable] + sd_t[reachable] <= k
+    # Reached both ways (an OR of two int64 arrays is negative exactly
+    # when one of them is -1) and within the hop budget.
+    within = ((sd_s | sd_t) >= 0) & (sd_s + sd_t <= k)
     # (k-1)-hop sufficiency: the only valid vertices a k-th BFS hop could
     # discover are s (when sd(s,t) = k) and t — keep them unconditionally.
     within[s] = True
     within[t] = True
-    keep = np.nonzero(within)[0]
+    keep = np.flatnonzero(within)
     ops.add("set_insert", int(keep.size))
 
     subgraph, old_of_new, new_of_old = graph.induced_subgraph(keep)
@@ -107,7 +107,7 @@ def pre_bfs(graph: CSRGraph, query: Query,
 
     # Barrier in subgraph id space.  Unreached within k-1 hops can only be
     # s itself (then the true distance is >= k, so k is a valid lower bound).
-    barrier = sd_t[old_of_new].copy()
+    barrier = sd_t[old_of_new]
     barrier[barrier < 0] = k
     return PreBFSResult(
         subgraph=subgraph,

@@ -152,3 +152,73 @@ class TestInducedSubgraph:
         sub, old_of_new, new_of_old = g.induced_subgraph([])
         assert sub.num_vertices == 0
         assert sub.num_edges == 0
+
+
+class TestInducedSubgraphInputContract:
+    """Any iterable of vertex ids is accepted; it is sorted and
+    deduplicated, so every spelling of one vertex set gives the result of
+    sorted unique ``int64`` input, dtypes included."""
+
+    KEEP = [2, 5, 6, 11, 17, 23, 30, 31, 38]
+
+    @staticmethod
+    def _assert_same(got, want):
+        (sub, old_of_new, new_of_old), (w_sub, w_old, w_new) = got, want
+        for a, b in ((sub.indptr, w_sub.indptr),
+                     (sub.indices, w_sub.indices),
+                     (old_of_new, w_old), (new_of_old, w_new)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.fixture
+    def graph(self):
+        return generators.chung_lu(40, 260, seed=6)
+
+    @pytest.mark.parametrize("spelling", [
+        "unsorted", "duplicated", "list", "generator", "int32", "tuple",
+        "unsorted_int32_duplicated",
+    ])
+    def test_spellings_agree(self, graph, spelling):
+        want = graph.induced_subgraph(np.array(self.KEEP, dtype=np.int64))
+        keep = list(self.KEEP)
+        nodes = {
+            "unsorted": np.array(keep[::-1], dtype=np.int64),
+            "duplicated": np.array(sorted(keep + keep[::3]),
+                                   dtype=np.int64),
+            "list": keep,
+            "generator": (v for v in keep),
+            "int32": np.array(keep, dtype=np.int32),
+            "tuple": tuple(keep),
+            "unsorted_int32_duplicated": np.array(
+                keep[::-1] + keep[:4], dtype=np.int32),
+        }[spelling]
+        self._assert_same(graph.induced_subgraph(nodes), want)
+
+    def test_matches_per_vertex_definition(self, graph):
+        """Row by row, in ascending order, as the per-vertex loop built
+        it: each kept vertex's kept successors, renumbered."""
+        sub, old_of_new, new_of_old = graph.induced_subgraph(self.KEEP[::-1])
+        assert list(old_of_new) == self.KEEP
+        kept = set(self.KEEP)
+        for new_u, old_u in enumerate(old_of_new):
+            want = [int(new_of_old[v]) for v in graph.successors(int(old_u))
+                    if int(v) in kept]
+            assert list(sub.successors(new_u)) == want
+
+    def test_input_array_not_mutated(self, graph):
+        nodes = np.array([9, 3, 3, 1], dtype=np.int64)
+        graph.induced_subgraph(nodes)
+        assert list(nodes) == [9, 3, 3, 1]
+
+    @pytest.mark.parametrize("nodes,bad", [
+        ([0, 5, 40], 40),
+        (np.array([41, 3, 2]), 41),
+        ([-1, 4], -1),
+        ((v for v in (7, 99)), 99),
+        (np.array([3, 50], dtype=np.int32), 50),
+    ])
+    def test_out_of_range_names_the_vertex(self, graph, nodes, bad):
+        with pytest.raises(VertexNotFoundError) as info:
+            graph.induced_subgraph(nodes)
+        assert info.value.vertex == bad
+        assert str(info.value) == str(VertexNotFoundError(bad, 40))

@@ -75,6 +75,32 @@ class TestMultiSource:
         with pytest.raises(VertexNotFoundError):
             multi_source_k_hop_bfs(g, np.array([7]), 2)
 
+    @pytest.mark.parametrize("sources,bad", [
+        ([2, 9, 7], 7),
+        ([5, -3, -1, 1], -3),
+        ([[0, 4], [1, 3]], 3),
+    ])
+    def test_bad_source_named_in_ascending_order(self, sources, bad):
+        """The error names the first out-of-range id of the sorted,
+        deduplicated source set."""
+        g = G.cycle_graph(3)
+        with pytest.raises(VertexNotFoundError) as info:
+            multi_source_k_hop_bfs(g, np.array(sources), 2)
+        assert info.value.vertex == bad
+
+    def test_sources_not_mutated(self):
+        g = G.cycle_graph(6)
+        sources = np.array([4, 1, 4], dtype=np.int64)
+        multi_source_k_hop_bfs(g, sources, 2)
+        assert list(sources) == [4, 1, 4]
+
+    def test_zero_hops_charges_each_distinct_source(self):
+        g = G.cycle_graph(6)
+        ops = OpCounter()
+        dist = multi_source_k_hop_bfs(g, np.array([3, 1, 3]), 0, ops)
+        assert list(np.flatnonzero(dist == 0)) == [1, 3]
+        assert ops.as_dict() == {"vertex_visit": 2}
+
     def test_duplicate_sources_ok(self):
         g = G.cycle_graph(4)
         dist = multi_source_k_hop_bfs(g, np.array([1, 1]), 4)

@@ -1,16 +1,21 @@
 """Tests for Pre-BFS: Theorem 1 (path-set preservation), (k-1)-hop
 sufficiency, barrier validity and subgraph minimality."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_paths
+from repro.datasets import DATASETS
 from repro.errors import QueryError
 from repro.graph import generators as G
 from repro.graph.csr import CSRGraph
+from repro.host.cost_model import OpCounter
 from repro.host.query import Query
-from repro.preprocess.bfs import k_hop_bfs
+from repro.preprocess.bfs import k_hop_bfs, multi_source_k_hop_bfs
 from repro.preprocess.prebfs import pre_bfs
+from repro.workloads import generate_queries
 
 
 def subgraph_paths_in_original_ids(prep, query):
@@ -145,3 +150,166 @@ class TestOps:
         k_hop_bfs(g, 0, 12, full)
         k_hop_bfs(g.reverse(), 399, 12, full)
         assert prep.ops.count("bfs_relax") <= full.count("bfs_relax")
+
+
+# ----------------------------------------------------------------------
+# Golden fingerprints: Pre-BFS outputs and charges, byte for byte
+# ----------------------------------------------------------------------
+
+#: name -> (builder of a fresh graph, hop budgets).  Built inside each
+#: test: the reverse CSR's build charge lands on a graph's first query.
+GOLDEN_GRAPHS = {
+    "rt": (lambda: DATASETS["rt"].build(), (3, 4)),
+    "wt": (lambda: DATASETS["wt"].build(), (3, 4)),
+    "se": (lambda: DATASETS["se"].build(), (3, 4)),
+    "chung_lu0": (lambda: G.chung_lu(80, 400, seed=0), (2, 3, 4, 5)),
+    "chung_lu1": (lambda: G.chung_lu(300, 900, seed=1), (2, 3, 4, 5)),
+    "chung_lu2": (lambda: G.chung_lu(150, 1200, seed=2), (2, 3, 4, 5)),
+}
+
+
+def _golden_pairs(graph, k, count, seed):
+    """Reachable pairs from the workload generator plus uniform random
+    pairs (mostly empty subgraphs on the sparse graphs)."""
+    pairs = [(q.source, q.target)
+             for q in generate_queries(graph, k, count, seed=seed)]
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    while len(pairs) < 2 * count:
+        s, t = (int(v) for v in rng.integers(0, n, size=2))
+        if s != t:
+            pairs.append((s, t))
+    return pairs
+
+
+def _update_array(h, arr):
+    arr = np.ascontiguousarray(arr)
+    h.update(str(arr.dtype).encode())
+    h.update(str(arr.shape).encode())
+    h.update(arr.tobytes())
+
+
+def _update_counter(h, ops):
+    h.update(repr(sorted(ops.as_dict().items())).encode())
+
+
+def _update_prep(h, prep):
+    for arr in (prep.subgraph.indptr, prep.subgraph.indices, prep.barrier,
+                prep.old_of_new, prep.new_of_old):
+        _update_array(h, arr)
+    h.update(repr((prep.source, prep.target, prep.max_hops)).encode())
+    _update_counter(h, prep.ops)
+
+
+def _plain_digest(graph, ks):
+    h = hashlib.sha256()
+    for k in ks:
+        for s, t in _golden_pairs(graph, k, 20, seed=100 + k):
+            _update_prep(h, pre_bfs(graph, Query(s, t, k), OpCounter()))
+    return h.hexdigest()
+
+
+def _shared_digest(graph, ks):
+    """Same-source groups reading one forward BFS, as the service's
+    forward-frontier memo hands it out."""
+    h = hashlib.sha256()
+    for k in ks:
+        pairs = _golden_pairs(graph, k, 20, seed=200 + k)
+        for source in sorted({s for s, _ in pairs})[:4]:
+            memo = OpCounter()
+            sd_s = k_hop_bfs(graph, source, k - 1, memo)
+            _update_counter(h, memo)
+            _update_array(h, sd_s)
+            for _, t in pairs[:6]:
+                if t == source:
+                    continue
+                prep = pre_bfs(graph, Query(source, t, k), OpCounter(),
+                               sd_s=sd_s)
+                _update_prep(h, prep)
+    return h.hexdigest()
+
+
+def _multi_source_digest(graph):
+    """The JOIN path: multi-source BFS on G and G_rev, unsorted and
+    duplicated source sets, 0..4 hops."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    n = graph.num_vertices
+    for g in (graph, graph.reverse()):
+        for size in (1, 3, 17):
+            sources = rng.integers(0, n, size=size)
+            sources = np.concatenate([sources, sources[:2]])
+            for hops in range(5):
+                ops = OpCounter()
+                dist = multi_source_k_hop_bfs(g, sources, hops, ops)
+                _update_array(h, dist)
+                _update_counter(h, ops)
+    return h.hexdigest()
+
+
+#: SHA-256 per graph of every PreBFSResult array (dtype included), both
+#: endpoints and the sorted OpCounter tallies, over a fixed query set;
+#: "shared" reads sd_s from one forward BFS per source, "multi_source"
+#: pins the JOIN path's distances and charges.
+GOLDEN_PRE_BFS = {
+    "chung_lu0": {
+        "plain":
+            "3f59bc55241dee3b0285701a31e8dbf42b80bb0829e20522822ab0b24e777a01",
+        "shared":
+            "8ac42518cba8fac63e843b20284a1f73e0a290dd291a8dc7e411e9a9d7b6a491",
+        "multi_source":
+            "e90511a7ea9abb03971e186008d3d8243d93093d74103e10d2f3c2197884a9ce",
+    },
+    "chung_lu1": {
+        "plain":
+            "bd83f9959e9f6ff9ed74db6b6add62972cdb935c69855d2400df3c01f40e4c97",
+        "shared":
+            "32b5ac36514c22c3a8e2c9ed1cc201632b504b81ec7ef5e7e0ad76705e93917a",
+        "multi_source":
+            "2e2907750aca5f6ef7ff18f98d6743073a136f79020d905832ff6895575ce233",
+    },
+    "chung_lu2": {
+        "plain":
+            "ff0d2ec89fb07a15216e2b0fc0d0f60ab1966b256a0b4b00e3bb2eb6742b2822",
+        "shared":
+            "3fe95670e19c416fb90f502d5c2a850226707a2ff30635d7408100874b651b71",
+        "multi_source":
+            "77f784d1512f6d4124cc0865bf9da31eb23078b6a90100a1464aec7dde454c58",
+    },
+    "rt": {
+        "plain":
+            "85076c73efc5ade939dbf0e2e0bc0d6612b12a89d68339950b861cf693fb2a19",
+        "shared":
+            "ad7bc87ecfc00aff242c3e1b2faf56d8a7bb9daa75c963f025e06cc5f1ca1e5d",
+        "multi_source":
+            "864ac2d82477a8b9c0dfbf7648baab740d5374a87b6b50ebb41f8ddbe7fdc8b3",
+    },
+    "se": {
+        "plain":
+            "8b326e45ce1e5d8082e3b8b44fbfc1c9a0efee794841263b36833619d185cb46",
+        "shared":
+            "33220812cc4b408a13aa110f36836d5864fedefc21dfe507f9fdab2a2019a1b7",
+        "multi_source":
+            "dc84c29cb43bf1369c1589e4706e81f250276cc9bb6133adfcbdf1f9e58806ba",
+    },
+    "wt": {
+        "plain":
+            "a62504c315a20ee307a07768ce137bbfd724fc5c0e6bdd985e9641815f68aad2",
+        "shared":
+            "283f8df70eddd59392eedf917aa307e6b3871b93e037c55e1fa913373a3796d2",
+        "multi_source":
+            "d97afd3e137a006d684a2339778876be588d252679935c589d1d331ad39b4c47",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_pre_bfs_golden_fingerprints(name):
+    build, ks = GOLDEN_GRAPHS[name]
+    graph = build()
+    got = {
+        "plain": _plain_digest(graph, ks),
+        "shared": _shared_digest(graph, ks),
+        "multi_source": _multi_source_digest(graph),
+    }
+    assert got == GOLDEN_PRE_BFS[name]
