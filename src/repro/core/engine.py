@@ -250,8 +250,8 @@ class PEFPEngine:
         ``inbox``, runs one Θ1 refill or one batch on the PE's clock and
         yields ``None`` when idle, else ``(kind, cycles, results,
         dropped, more, wall0, info)``; ``info`` (only when
-        ``observing``) is a batch's ``DeviceProfiler.record_batch``
-        keywords or a refill's path count.  Survivors whose tail another
+        ``observing``) is a batch's ``DeviceProfiler.record_batch`` row
+        or a refill's path count.  Survivors whose tail another
         PE owns go to ``outbox[owner]`` as ``(vertices, lo, hi)``; with
         ``owners=None`` (one PE) the push path does no owner lookup.
         Closing the generator folds the deferred counters into the PE's
@@ -751,22 +751,14 @@ class PEFPEngine:
             delta = clock._cycles - clock0
             info = None
             if observing:
-                info = {
-                    "entries": n_e,
-                    "expansions": n_items,
-                    "results": len(batch_results),
-                    "new_paths": nv,
-                    "cycles": delta,
-                    "pipeline_cycles": batch_cycles - overhead,
-                    "overhead_cycles": overhead,
-                    "flush_cycles": (stats.stage_cycles.get("flush", 0)
-                                     - flush_cycles0),
-                    "flushes": stats.flushes - flushes0,
-                    "dram_cycles": dram_cycles,
-                    "buffer_paths": len(buffer),
-                    "stage_cycles": dict(zip(BATCH_STAGES,
-                                             (t1, t2, t3, t4, t5))),
-                }
+                # the batch's profile row, laid out as BATCH_COLUMNS
+                info = (
+                    n_e, n_items, len(batch_results), nv, delta,
+                    batch_cycles - overhead, overhead,
+                    stats.stage_cycles.get("flush", 0) - flush_cycles0,
+                    stats.flushes - flushes0, dram_cycles, len(buffer),
+                    t1, t2, t3, t4, t5,
+                )
             event = (
                 "batch", delta, len(batch_results), dropped,
                 len(buffer._verts) > buffer._head or not dram_area.is_empty,

@@ -285,28 +285,17 @@ class ReferencePEFPEngine(PEFPEngine):
 
             if observing:
                 iter_cycles = clock.cycles - iter_cycles0
-                stage_breakdown = dict(zip(
-                    ("load", "edge_fetch", "barrier_fetch", "verify",
-                     "writeback"),
-                    (c.total for c in costs),
-                ))
                 if profiler is not None:
-                    profiler.record_batch(
-                        entries=len(entries),
-                        expansions=n_items,
-                        results=len(batch_results),
-                        new_paths=len(valid_paths),
-                        cycles=iter_cycles,
-                        pipeline_cycles=(batch_cycles
-                                         - cfg.batch_overhead_cycles),
-                        overhead_cycles=cfg.batch_overhead_cycles,
-                        flush_cycles=(stats.stage_cycles.get("flush", 0)
-                                      - flush_cycles0),
-                        flushes=stats.flushes - flushes0,
-                        dram_cycles=sum(c.dram for c in costs),
-                        buffer_paths=len(buffer),
-                        stage_cycles=stage_breakdown,
-                    )
+                    profiler.record_batch((
+                        len(entries), n_items, len(batch_results),
+                        len(valid_paths), iter_cycles,
+                        batch_cycles - cfg.batch_overhead_cycles,
+                        cfg.batch_overhead_cycles,
+                        stats.stage_cycles.get("flush", 0) - flush_cycles0,
+                        stats.flushes - flushes0,
+                        sum(c.dram for c in costs), len(buffer),
+                        *(c.total for c in costs),
+                    ))
                 if tracer:
                     tracer.complete(
                         "batch", iter_wall0,

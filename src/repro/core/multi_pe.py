@@ -49,8 +49,9 @@ from repro.errors import QueryError
 from repro.fpga.device import Device, MultiPEDevice
 from repro.fpga.interconnect import RoundRobinArbiter, barrier_sync_cycles
 from repro.fpga.partition import VertexPartitioner
-from repro.fpga.profile import DeviceProfiler
+from repro.fpga.profile import BATCH_STAGES, DeviceProfiler
 from repro.graph.csr import CSRGraph
+from repro.observability.analysis import split_batch_cycles
 
 
 #: the per-PE :class:`EngineStats` counters a merge adds up.
@@ -251,27 +252,21 @@ def run_multi_pe(
                                     cycles=crit_delta, paths=info)
             else:
                 if profiler is not None:
-                    profiler.record_batch(**info)
+                    profiler.record_batch(info)
                 if timed:
-                    # The exact cycle split the attribution layer reads
-                    # (repro.observability.analysis): the pipeline window
-                    # is bounded by its slowest stage (busy) or the DRAM
-                    # channels (stall); busy + stall + overhead tiles the
-                    # step's clock delta exactly.
-                    stages = info["stage_cycles"]
-                    slowest = max(stages.values())
+                    # The exact cycle split the attribution layer reads:
+                    # busy + stall + overhead tiles the step's clock delta.
+                    (entries, expansions, n_results, _, _, pipeline,
+                     overhead, flush) = info[:8]
+                    busy, stall, overhead, bound = split_batch_cycles(
+                        pipeline, overhead, flush,
+                        dict(zip(BATCH_STAGES, info[-len(BATCH_STAGES):])))
                     tracer.complete(
                         "batch", wall0, modelled_seconds=seconds,
-                        entries=info["entries"],
-                        expansions=info["expansions"],
-                        results=info["results"],
-                        cycles=crit_delta,
-                        busy_cycles=slowest,
-                        stall_cycles=(info["pipeline_cycles"] - slowest
-                                      + info["flush_cycles"]),
-                        overhead_cycles=info["overhead_cycles"],
-                        bound=("verify" if stages["verify"] == slowest
-                               and slowest > 0 else "expand"),
+                        entries=entries, expansions=expansions,
+                        results=n_results, cycles=crit_delta,
+                        busy_cycles=busy, stall_cycles=stall,
+                        overhead_cycles=overhead, bound=bound,
                     )
 
         # One PE routes nothing and its barrier is free.

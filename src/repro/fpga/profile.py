@@ -9,10 +9,12 @@ rather than trusted.
 A :class:`DeviceProfiler` is handed to ``PEFPEngine.run(profile=True)``
 and collects:
 
-- one :class:`BatchProfile` per Batch-DFS processing batch: the clock
-  delta of the whole iteration plus the raw (pre-overlap) cycle cost of
-  each dataflow stage, the DRAM share, and any flush stall the batch
-  triggered;
+- one integer row per Batch-DFS processing batch (the columns of
+  :data:`BATCH_COLUMNS`): the clock delta of the whole iteration plus
+  the raw (pre-overlap) cycle cost of each dataflow stage, the DRAM
+  share, and any flush stall the batch triggered.  The rows form one
+  table per run, which every consumer reads by column;
+  :class:`BatchProfile` is the per-row view;
 - one :class:`RefillProfile` per Θ1 refill stall;
 - end-of-run counters: BRAM/DRAM hit-miss per cached array, memory-port
   traffic, and the buffer/DRAM path-stack high-water marks.
@@ -25,16 +27,32 @@ the test suite asserts against ``SystemReport.fpga_cycles``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+
+import numpy as np
 
 #: the five dataflow stages of one processing batch, in pipeline order.
 BATCH_STAGES = ("load", "edge_fetch", "barrier_fetch", "verify",
                 "writeback")
 
+#: the columns of :attr:`DeviceProfile.batch_table`, i.e. of the row
+#: :meth:`DeviceProfiler.record_batch` takes: the scalars of
+#: :class:`BatchProfile` after ``index``, then the raw cycles of each
+#: stage in :data:`BATCH_STAGES` order.
+BATCH_COLUMNS = (
+    "entries", "expansions", "results", "new_paths", "cycles",
+    "pipeline_cycles", "overhead_cycles", "flush_cycles", "flushes",
+    "dram_cycles", "buffer_paths",
+) + BATCH_STAGES
+_N_SCALARS = len(BATCH_COLUMNS) - len(BATCH_STAGES)
+_INT32 = np.iinfo(np.int32)
+
 
 @dataclass(frozen=True)
 class BatchProfile:
-    """Cycle breakdown of one processing batch.
+    """Cycle breakdown of one processing batch: one row of
+    :attr:`DeviceProfile.batch_table` as an object.
 
     ``cycles`` is the device-clock delta across the whole loop iteration
     (overlapped pipeline cost + control overhead + any flush stall), so
@@ -119,15 +137,25 @@ class InterPeProfile:
     barrier_cycles: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceProfile:
-    """Everything the profiler collected over one kernel run."""
+    """Everything the profiler collected over one kernel run.
+
+    The batches live in :attr:`batch_table`, one integer row per batch
+    with the :data:`BATCH_COLUMNS` layout.  Every aggregate below is a
+    column reduction, computed once per profile and returned as plain
+    Python numbers (``to_dict()`` is hashed by the golden digests);
+    :attr:`batches` rebuilds the per-batch :class:`BatchProfile` view on
+    first use.  Neither memo is pickled.
+    """
 
     frequency_hz: float
     total_cycles: int
     #: clock cycles before the first batch (seed lookups and push).
     setup_cycles: int
-    batches: tuple[BatchProfile, ...]
+    #: one row per processing batch, columns as :data:`BATCH_COLUMNS`;
+    #: int32 whenever every value fits, else int64.
+    batch_table: np.ndarray
     refills: tuple[RefillProfile, ...]
     #: per cached array (vertex_arr/edge_arr/bar_arr): hits, misses,
     #: cached_words, total_words.
@@ -153,21 +181,72 @@ class DeviceProfile:
     #: processing elements the run used (1 = the classic single pipeline).
     num_pes: int = 1
 
+    # -- identity and pickling -------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceProfile):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            if f.name == "batch_table"
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
+
+    def __getstate__(self) -> dict:
+        # the fields only: the memoised aggregates and batch view are
+        # rebuilt on the receiving side
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # -- per-batch view ----------------------------------------------
+    @cached_property
+    def batches(self) -> tuple[BatchProfile, ...]:
+        """One :class:`BatchProfile` per table row, built on first use."""
+        return tuple(
+            BatchProfile(i, *row[:_N_SCALARS],
+                         stage_cycles=dict(zip(BATCH_STAGES,
+                                               row[_N_SCALARS:])))
+            for i, row in enumerate(self.batch_table.tolist())
+        )
+
+    @cached_property
+    def _sums(self) -> dict:
+        """Every batch aggregate, from one pass of column reductions."""
+        table = self.batch_table
+        cols = dict(zip(BATCH_COLUMNS,
+                        table.sum(axis=0, dtype=np.int64).tolist()))
+        pipeline = self.column("pipeline_cycles").astype(np.int64)
+        stages = table[:, _N_SCALARS:]
+        slowest = stages.max(axis=1, initial=0).astype(np.int64)
+        # split_batch_cycles, one column at a time
+        busy = np.minimum(slowest, pipeline)
+        on_verify = ((stages[:, BATCH_STAGES.index("verify")] == slowest)
+                     & (slowest > 0))
+        busy_verify = int(busy[on_verify].sum())
+        stall = int(np.maximum(pipeline - slowest, 0).sum()) \
+            + cols["flush_cycles"]
+        cols["cycle_split"] = {
+            "expand": int(busy.sum()) - busy_verify,
+            "verify": busy_verify,
+            "stall": stall,
+            "overhead": cols["overhead_cycles"],
+        }
+        return cols
+
     # -- reconciliation ------------------------------------------------
     @property
     def accounted_cycles(self) -> int:
         """Setup + batches + refills + inter-PE; equals ``total_cycles``."""
         return (
             self.setup_cycles
-            + sum(b.cycles for b in self.batches)
-            + sum(r.cycles for r in self.refills)
-            + sum(i.cycles for i in self.inter_pe)
+            + self._sums["cycles"]
+            + self.refill_cycles
+            + self.inter_pe_cycles
         )
 
     # -- aggregates ----------------------------------------------------
     @property
     def num_batches(self) -> int:
-        return len(self.batches)
+        return len(self.batch_table)
 
     @property
     def refill_cycles(self) -> int:
@@ -175,20 +254,25 @@ class DeviceProfile:
 
     @property
     def flush_cycles(self) -> int:
-        return sum(b.flush_cycles for b in self.batches)
+        return self._sums["flush_cycles"]
 
     @property
     def expand_cycles(self) -> int:
-        return sum(b.expand_cycles for b in self.batches)
+        return sum(self._sums[s] for s in BATCH_STAGES if s != "verify")
 
     @property
     def verify_cycles(self) -> int:
-        return sum(b.verify_cycles for b in self.batches)
+        return self._sums["verify"]
+
+    @property
+    def pipeline_cycles(self) -> int:
+        """Summed pipeline windows (the denominator of occupancy)."""
+        return self._sums["pipeline_cycles"]
 
     @property
     def stall_cycles(self) -> int:
         """DRAM-bound waits + flush stalls + refill stalls, summed."""
-        return sum(b.stall_cycles for b in self.batches) + self.refill_cycles
+        return self._sums["cycle_split"]["stall"] + self.refill_cycles
 
     @property
     def inter_pe_cycles(self) -> int:
@@ -200,22 +284,38 @@ class DeviceProfile:
         """Frontier records that crossed between PEs."""
         return sum(i.messages for i in self.inter_pe)
 
+    def column(self, name: str) -> np.ndarray:
+        """One :data:`BATCH_COLUMNS` column: a value per batch."""
+        return self.batch_table[:, BATCH_COLUMNS.index(name)]
+
+    def batch_occupancy(self, stage: str) -> np.ndarray:
+        """:meth:`BatchProfile.occupancy` of ``stage``, a float per batch."""
+        window = self.column("pipeline_cycles").astype(np.float64)
+        busy = self.column(stage).astype(np.float64)
+        out = np.zeros(len(window))
+        np.divide(busy, window, out=out, where=window > 0)
+        return np.minimum(out, 1.0)
+
+    def cycle_split(self) -> dict[str, int]:
+        """Batch cycles split into ``expand``/``verify`` (busy, by bounding
+        stage), ``stall`` and ``overhead``: the sum of
+        :func:`repro.observability.analysis.split_batch_cycles` over every
+        batch, refills and interconnect excluded."""
+        return dict(self._sums["cycle_split"])
+
     def stage_cycle_totals(self) -> dict[str, int]:
         """Raw per-stage cycles summed over every batch."""
-        totals: dict[str, int] = {}
-        for batch in self.batches:
-            for stage, cycles in batch.stage_cycles.items():
-                totals[stage] = totals.get(stage, 0) + cycles
-        return totals
+        if not self.num_batches:
+            return {}
+        return {stage: self._sums[stage] for stage in BATCH_STAGES}
 
     def stage_occupancy(self) -> dict[str, float]:
         """Per-stage busy fraction of the summed pipeline windows."""
-        window = sum(b.pipeline_cycles for b in self.batches)
+        window = self.pipeline_cycles
         if window <= 0:
             return {stage: 0.0 for stage in BATCH_STAGES}
-        totals = self.stage_cycle_totals()
         return {
-            stage: min(1.0, totals.get(stage, 0) / window)
+            stage: min(1.0, self._sums[stage] / window)
             for stage in BATCH_STAGES
         }
 
@@ -316,9 +416,7 @@ def aggregate_profiles(profiles: list[DeviceProfile]) -> dict:
                 out["verify_funnel"].get(check, 0) + count
             )
     out["buffer_domains"] = sorted(domains)
-    window = sum(
-        b.pipeline_cycles for p in profiles for b in p.batches
-    )
+    window = sum(p.pipeline_cycles for p in profiles)
     stage_totals = out["stage_cycles"]
     out["stage_occupancy"] = {
         stage: (min(1.0, stage_totals.get(stage, 0) / window)
@@ -333,7 +431,8 @@ class DeviceProfiler:
 
     def __init__(self) -> None:
         self.setup_cycles = 0
-        self._batches: list[BatchProfile] = []
+        #: the batch rows, flattened (``BATCH_COLUMNS`` values per batch)
+        self._cells: list[int] = []
         self._refills: list[RefillProfile] = []
         self._inter_pe: list[InterPeProfile] = []
 
@@ -341,9 +440,9 @@ class DeviceProfiler:
         """Cycles consumed before the main loop (seed reads + push)."""
         self.setup_cycles = cycles
 
-    def record_batch(self, **kwargs) -> None:
-        self._batches.append(BatchProfile(index=len(self._batches),
-                                          **kwargs))
+    def record_batch(self, row: tuple[int, ...]) -> None:
+        """Append one batch's row, laid out as :data:`BATCH_COLUMNS`."""
+        self._cells.extend(row)
 
     def record_refill(self, cycles: int, paths: int) -> None:
         self._refills.append(RefillProfile(cycles=cycles, paths=paths))
@@ -369,7 +468,7 @@ class DeviceProfiler:
             frequency_hz=device.config.frequency_hz,
             total_cycles=device.cycles,
             setup_cycles=self.setup_cycles,
-            batches=tuple(self._batches),
+            batch_table=self._table(),
             refills=tuple(self._refills),
             cache_counters={
                 arr.label: arr.counters() for arr in cached_arrays
@@ -382,3 +481,11 @@ class DeviceProfiler:
             inter_pe=tuple(self._inter_pe),
             num_pes=num_pes,
         )
+
+    def _table(self) -> np.ndarray:
+        table = np.array(self._cells, dtype=np.int64).reshape(
+            -1, len(BATCH_COLUMNS))
+        if not table.size or (_INT32.min <= table.min()
+                              and table.max() <= _INT32.max):
+            table = table.astype(np.int32)
+        return table

@@ -87,9 +87,12 @@ def split_batch_cycles(pipeline_cycles: int, overhead_cycles: int,
         busy + stall + overhead == pipeline + flush + overhead
                                 == BatchProfile.cycles
 
-    This is the single definition both the engine's trace attributes and
-    the profile-based builder use, which is what makes trace- and
-    report-based attribution agree batch for batch.
+    This is the single definition of the split: the engine's batch trace
+    spans call it on each batch's profile row, and
+    :meth:`~repro.fpga.profile.DeviceProfile.cycle_split` (what the
+    profile-based builder reads) is its column form, held equal to the
+    sum of this function over every batch by the test suite.  That is
+    what makes trace- and report-based attribution agree.
     """
     slowest = max(
         (int(stage_cycles.get(s, 0)) for s in BATCH_STAGES), default=0
@@ -681,19 +684,13 @@ def _waterfall_from_system_report(r, engine: str, position: int,
     if profile is not None:
         frequency = profile.frequency_hz
         device_cycles["kernel_setup"] = profile.setup_cycles
-        for batch in profile.batches:
-            busy, stall, overhead, bound = split_batch_cycles(
-                batch.pipeline_cycles, batch.overhead_cycles,
-                batch.flush_cycles, batch.stage_cycles,
-            )
-            key = ("kernel_verify" if bound == "verify"
-                   else "kernel_expand")
-            device_cycles[key] += busy
-            device_cycles["kernel_stall"] += stall
-            device_cycles["kernel_overhead"] += overhead
-        device_cycles["kernel_stall"] += profile.refill_cycles
-        device_cycles["kernel_inter_pe"] += getattr(
-            profile, "inter_pe_cycles", 0)
+        split = profile.cycle_split()
+        device_cycles["kernel_expand"] = split["expand"]
+        device_cycles["kernel_verify"] = split["verify"]
+        device_cycles["kernel_stall"] = (split["stall"]
+                                         + profile.refill_cycles)
+        device_cycles["kernel_overhead"] = split["overhead"]
+        device_cycles["kernel_inter_pe"] = profile.inter_pe_cycles
     elif r.fpga_cycles:
         device_cycles["kernel_expand"] = r.fpga_cycles
         detailed = False

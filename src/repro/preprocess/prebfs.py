@@ -32,9 +32,23 @@ class PreBFSResult:
     max_hops: int
     barrier: np.ndarray
     old_of_new: np.ndarray
-    new_of_old: np.ndarray
+    #: vertex count of the graph the subgraph was cut from.
+    parent_num_vertices: int
     ops: OpCounter
     _old_lut: list | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def new_of_old(self) -> np.ndarray:
+        """Subgraph id of every parent-graph vertex (``-1``: dropped).
+
+        Rebuilt from ``old_of_new`` on each access rather than kept: it
+        has one entry per parent vertex, and memoised results would
+        otherwise each hold one.
+        """
+        new_of_old = np.full(self.parent_num_vertices, -1, dtype=np.int64)
+        new_of_old[self.old_of_new] = np.arange(self.old_of_new.size,
+                                                dtype=np.int64)
+        return new_of_old
 
     @property
     def is_empty(self) -> bool:
@@ -116,6 +130,6 @@ def pre_bfs(graph: CSRGraph, query: Query,
         max_hops=k,
         barrier=barrier,
         old_of_new=old_of_new,
-        new_of_old=new_of_old,
+        parent_num_vertices=graph.num_vertices,
         ops=ops,
     )

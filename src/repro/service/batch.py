@@ -399,14 +399,13 @@ def observe_profile(metrics: MetricsRegistry, prof,
                             inter_pe_cycles)
             timeline.record(t_end, "inter_pe_messages",
                             getattr(prof, "inter_pe_messages", 0))
-    for batch in prof.batches:
-        metrics.observe_hist("batch_cycles", batch.cycles,
-                             bounds=CYCLE_BUCKETS)
-        metrics.observe_hist("batch_entries", batch.entries,
-                             bounds=COUNT_BUCKETS)
-        metrics.observe_hist("verify_occupancy",
-                             batch.occupancy("verify"),
-                             bounds=FRACTION_BUCKETS)
+    metrics.observe_hist_many("batch_cycles", prof.column("cycles"),
+                              bounds=CYCLE_BUCKETS)
+    metrics.observe_hist_many("batch_entries", prof.column("entries"),
+                              bounds=COUNT_BUCKETS)
+    metrics.observe_hist_many("verify_occupancy",
+                              prof.batch_occupancy("verify"),
+                              bounds=FRACTION_BUCKETS)
     metrics.observe_hist("buffer_peak_paths", prof.buffer_peak_paths,
                          bounds=COUNT_BUCKETS)
     metrics.observe_hist("dram_peak_paths", prof.dram_peak_paths,

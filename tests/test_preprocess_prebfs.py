@@ -313,3 +313,36 @@ def test_pre_bfs_golden_fingerprints(name):
         "multi_source": _multi_source_digest(graph),
     }
     assert got == GOLDEN_PRE_BFS[name]
+
+
+def _held_sizes(prep):
+    """Lengths of every array and list a Pre-BFS result keeps, the CSR
+    subgraph's included."""
+    for value in vars(prep).values():
+        if isinstance(value, CSRGraph):
+            yield from (len(value.indptr), len(value.indices))
+        elif isinstance(value, (np.ndarray, list)):
+            yield len(value)
+
+
+def test_memoised_result_holds_no_vertex_sized_array():
+    """A Pre-BFS memo entry is as large as its subgraph, not its graph;
+    ``new_of_old`` is rebuilt from ``old_of_new`` when asked for."""
+    from repro.service.cache import GraphArtifactCache
+
+    graph = DATASETS["wt"].build()
+    n = graph.num_vertices
+    cache = GraphArtifactCache()
+    for query in generate_queries(graph, 3, 8, seed=5):
+        prep = cache.pre_bfs(graph, query)
+        assert cache.pre_bfs(graph, query) is prep  # the memo entry
+        prep.translate_paths([])  # builds the id lookup table it keeps
+        assert 0 < prep.subgraph.num_vertices < n
+        assert max(_held_sizes(prep)) < n
+        new_of_old = prep.new_of_old
+        assert new_of_old.dtype == np.int64 and new_of_old.shape == (n,)
+        assert (new_of_old[prep.old_of_new]
+                == np.arange(prep.subgraph.num_vertices)).all()
+        assert (new_of_old >= 0).sum() == prep.subgraph.num_vertices
+        assert new_of_old[query.source] == prep.source
+        assert new_of_old[query.target] == prep.target

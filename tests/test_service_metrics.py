@@ -1,8 +1,11 @@
 """Unit tests for the service metrics registry and percentile math."""
 
+import struct
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.metrics import (
     LatencySummary,
@@ -197,6 +200,65 @@ class TestHistograms:
         registry.observe_hist("h", 1.0, bounds=(2.0,))
         snap = registry.snapshot()
         assert snap["histograms"]["h"].count == 1
+
+
+_BOUNDS = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8,
+    unique=True,
+)
+
+
+@st.composite
+def _bounds_and_values(draw):
+    bounds = tuple(sorted(draw(_BOUNDS)))
+    value = st.one_of(
+        st.sampled_from(bounds),  # exactly on a bucket edge
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(2 ** 40), 2 ** 40).map(float),
+    )
+    return bounds, draw(st.lists(value, max_size=6)), draw(
+        st.lists(value, max_size=40))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestObserveHistMany:
+    """One bulk call equals the same observe_hist calls, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bounds_and_values())
+    def test_equals_one_call_per_value(self, case):
+        bounds, before, values = case
+        one, many = MetricsRegistry(), MetricsRegistry()
+        for v in before:
+            one.observe_hist("h", v, bounds=bounds)
+            many.observe_hist("h", v, bounds=bounds)
+        for v in values:
+            one.observe_hist("h", v, bounds=bounds)
+        many.observe_hist_many("h", np.array(values, dtype=np.float64),
+                               bounds=bounds)
+        a, b = one.histogram("h"), many.histogram("h")
+        if a is None:
+            assert b is None
+            return
+        assert (a.bounds, a.counts, a.count) == (b.bounds, b.counts, b.count)
+        assert _bits(a.total) == _bits(b.total)
+
+    def test_empty_input_records_nothing(self):
+        registry = MetricsRegistry()
+        registry.observe_hist_many("h", [], bounds=(1.0,))
+        assert registry.histogram("h") is None
+        assert registry.snapshot()["histograms"] == {}
+
+    def test_integer_columns_are_read_as_floats(self):
+        one, many = MetricsRegistry(), MetricsRegistry()
+        column = np.array([3, 10, 11, 2 ** 31 - 1], dtype=np.int32)
+        for v in column.tolist():
+            one.observe_hist("c", v, bounds=(10.0, 100.0))
+        many.observe_hist_many("c", column, bounds=(10.0, 100.0))
+        assert one.histogram("c") == many.histogram("c")
 
 
 class TestMergeQuantileBias:
